@@ -105,30 +105,10 @@ func BenchmarkHashingThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterDestinations measures the per-tuple cost of the HC
-// routing hot path through the row-view entry point. The seed baseline
-// (per-call coords/fixed allocation) measured 101.7 ns/op, 27 B/op,
-// 2 allocs/op; PR 1's reusable-scratch odometer measured 44.6 ns/op; the
-// precomputed-offset router must report 0 allocs/op and ≤ half PR 1's
-// ns/op.
-func BenchmarkRouterDestinations(b *testing.B) {
-	q := query.Triangle()
-	fam := hashing.NewFamily(2)
-	r := hypercube.NewRouter(q, []int{4, 4, 4}, fam)
-	tup := Tuple{12345, 67890}
-	var dst []int
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		dst = r.Destinations("S1", tup, dst[:0])
-	}
-	if len(dst) != 4 {
-		b.Fatalf("destinations = %d", len(dst))
-	}
-}
-
-// BenchmarkRouterDestinationsAt measures the columnar entry point
-// (mpc.ColumnRouter) the communication phase actually drives: destinations
-// are computed from the relation's column strides with no row view at all.
+// BenchmarkRouterDestinationsAt measures the per-tuple cost of the HC
+// routing hot path (mpc.Router): destinations are computed from the
+// relation's column strides with no row view at all. It must report
+// 0 allocs/op.
 func BenchmarkRouterDestinationsAt(b *testing.B) {
 	q := query.Triangle()
 	fam := hashing.NewFamily(2)

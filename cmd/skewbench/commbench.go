@@ -16,14 +16,12 @@ import (
 )
 
 // CommBench is the committed BENCH_comm.json baseline for the
-// communication phase: the sharded zero-channel delivery engine measured
-// against the legacy channel engine on a small-Virtual instance (HyperCube
-// triangle, Virtual = p) and a large-Virtual one (§4.1 skew join with many
-// heavy hitters, Virtual ≫ p — the regime where goroutine-per-server costs
-// dominated). CI's comm bench smoke step keeps the harness running; this
-// artifact records the numbers a change is judged against. The sharded
-// engine must beat the channel engine on the large instance, with
-// goroutines per Round at O(GOMAXPROCS) instead of O(Virtual + parts).
+// communication phase: the sharded delivery engine measured on a
+// small-Virtual instance (HyperCube triangle, Virtual = p) and a
+// large-Virtual one (§4.1 skew join with many heavy hitters, Virtual ≫ p).
+// CI's comm bench smoke step keeps the harness running; this artifact
+// records the numbers a change is judged against. TestShardedGoroutineBound
+// gates the O(GOMAXPROCS) goroutine bound the peak count reports.
 type CommBench struct {
 	Instance   string `json:"instance"`
 	GoArch     string `json:"goarch"`
@@ -34,7 +32,7 @@ type CommBench struct {
 	Large CommScenario `json:"large_virtual"`
 }
 
-// CommScenario compares the two engines on one routing instance.
+// CommScenario measures the engine on one routing instance.
 type CommScenario struct {
 	// Virtual is the cluster size the round runs on; RoutedTuples is the
 	// delivered tuple count of one Round (the ns/tuple denominator).
@@ -42,18 +40,16 @@ type CommScenario struct {
 	RoutedTuples int64 `json:"routed_tuples"`
 
 	Sharded CommEngineStats `json:"sharded"`
-	Channel CommEngineStats `json:"channel"`
 }
 
-// CommEngineStats are one engine's measured costs for a full Round
+// CommEngineStats are the engine's measured costs for a full Round
 // (route + deliver, no local computation) on a reused cluster.
 type CommEngineStats struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	NsPerTuple  float64 `json:"ns_per_tuple"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	// PeakExtraGoroutines is the peak goroutine count observed during a
-	// Round minus the pre-round baseline: O(GOMAXPROCS) for the sharded
-	// engine, O(Virtual + parts) for the channel engine.
+	// Round minus the pre-round baseline: O(GOMAXPROCS).
 	PeakExtraGoroutines int `json:"peak_extra_goroutines"`
 }
 
@@ -82,10 +78,9 @@ func peakExtraGoroutines(fn func()) int {
 }
 
 // measureCommEngine times Round on a reused cluster (Reset between
-// iterations — the pooled steady state) for one engine.
-func measureCommEngine(virtual int, comm mpc.CommEngine, db *data.Database, router mpc.Router, tuples int64) CommEngineStats {
+// iterations — the pooled steady state).
+func measureCommEngine(virtual int, db *data.Database, router mpc.Router, tuples int64) CommEngineStats {
 	c := mpc.NewCluster(virtual)
-	c.Comm = comm
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -110,7 +105,7 @@ func measureCommEngine(virtual int, comm mpc.CommEngine, db *data.Database, rout
 	}
 }
 
-// measureCommScenario runs both engines on one instance.
+// measureCommScenario runs the engine on one instance.
 func measureCommScenario(virtual int, db *data.Database, router mpc.Router) CommScenario {
 	probe := mpc.NewCluster(virtual)
 	if err := probe.Round(db, router); err != nil {
@@ -120,8 +115,7 @@ func measureCommScenario(virtual int, db *data.Database, router mpc.Router) Comm
 	return CommScenario{
 		Virtual:      virtual,
 		RoutedTuples: tuples,
-		Sharded:      measureCommEngine(virtual, mpc.ShardedComm, db, router, tuples),
-		Channel:      measureCommEngine(virtual, mpc.ChannelComm, db, router, tuples),
+		Sharded:      measureCommEngine(virtual, db, router, tuples),
 	}
 }
 
@@ -134,8 +128,7 @@ func runCommBench(path string) error {
 	small := measureCommScenario(hcPlan.Phys.Virtual, tri, hcPlan.Phys.Router)
 
 	// Large Virtual: the §4.1 skew join on the zipf instance at p=256 —
-	// hundreds of heavy hitters allocate Θ(p) virtual servers each, the
-	// regime whose goroutine/channel overhead motivated the sharded engine.
+	// hundreds of heavy hitters allocate Θ(p) virtual servers each.
 	zdb := data.NewDatabase()
 	zdb.Put(workload.Zipf("S1", 5000, 1<<20, 1, 1.6, 500, 1))
 	zdb.Put(workload.Zipf("S2", 5000, 1<<20, 1, 1.6, 500, 2))

@@ -32,7 +32,7 @@ func main() {
 	mdFlag := flag.String("markdown", "", "also write results as markdown to this file")
 	routingFlag := flag.String("routingbench", "", "measure the routing baseline on the zipf join instance, write JSON here, and exit")
 	roundsFlag := flag.String("roundsbench", "", "measure the multi-round pipeline baseline (resident shuffle + end-to-end), write JSON here, and exit")
-	commFlag := flag.String("commbench", "", "measure the communication engine baseline (sharded vs channel), write JSON here, and exit")
+	commFlag := flag.String("commbench", "", "measure the sharded communication engine baseline, write JSON here, and exit")
 	serveFlag := flag.String("servebench", "", "measure the Session serving hit path (latency vs database size, incremental vs rescan fingerprints), write JSON here, and exit")
 	incrFlag := flag.String("incrbench", "", "measure standing-query advances (delta routing) vs full cache-hit Exec across delta and database sizes, write JSON here, and exit")
 	overloadFlag := flag.String("overloadbench", "", "measure serving under write pressure (snapshot vs lock-coupled reads) and the 2x-capacity shed rate, write JSON here, and exit")

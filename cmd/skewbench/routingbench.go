@@ -11,7 +11,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/hashing"
 	"repro/internal/hypercube"
-	"repro/internal/mpc"
 	"repro/internal/query"
 	"repro/internal/skew"
 	"repro/internal/workload"
@@ -28,10 +27,9 @@ type RoutingBench struct {
 	GoArch   string `json:"goarch"`
 	NumCPU   int    `json:"num_cpu"`
 	// Per-tuple routing, HC triangle router with shares (4,4,4).
-	HCDestinationsNsPerOp   float64 `json:"hc_destinations_ns_per_op"`
 	HCDestinationsAtNsPerOp float64 `json:"hc_destinations_at_ns_per_op"`
 	// Per-tuple routing through the §4.1 skew-join router on the zipf
-	// instance (columnar entry point, mix of light and heavy values).
+	// instance (mix of light and heavy values).
 	SkewJoinDestinationsAtNsPerOp float64 `json:"skewjoin_destinations_at_ns_per_op"`
 	// Full communication round (route + deliver, no local join) of the
 	// zipf join on p=64.
@@ -53,14 +51,6 @@ func runRoutingBench(path string) error {
 	db := zipfJoinDB()
 
 	hcRouter := hypercube.NewRouter(query.Triangle(), []int{4, 4, 4}, hashing.NewFamily(2))
-	tup := data.Tuple{12345, 67890}
-	hcRow := testing.Benchmark(func(b *testing.B) {
-		var dst []int
-		for i := 0; i < b.N; i++ {
-			dst = hcRouter.Destinations("S1", tup, dst[:0])
-		}
-		_ = dst
-	})
 	rel := data.NewRelation("S1", 2, 1<<20)
 	for i := int64(0); i < 1024; i++ {
 		rel.Add((12345*i)%(1<<20), (67890*i)%(1<<20))
@@ -74,14 +64,14 @@ func runRoutingBench(path string) error {
 	})
 
 	plan := skew.PlanJoin(query.Join2(), db, skew.JoinConfig{P: 64, Seed: 3, SkipJoin: true})
-	cr := plan.Phys.Router.(mpc.ColumnRouter)
+	sjRouter := plan.Phys.Router
 	s1 := db.MustGet("S1")
 	m := s1.Size()
 	sjCol := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		var dst []int
 		for i := 0; i < b.N; i++ {
-			dst = cr.DestinationsAt(s1, i%m, dst[:0])
+			dst = sjRouter.DestinationsAt(s1, i%m, dst[:0])
 		}
 		_ = dst
 	})
@@ -97,7 +87,6 @@ func runRoutingBench(path string) error {
 		GoArch:   runtime.GOARCH,
 		NumCPU:   runtime.NumCPU(),
 
-		HCDestinationsNsPerOp:         float64(hcRow.NsPerOp()),
 		HCDestinationsAtNsPerOp:       float64(hcCol.NsPerOp()),
 		SkewJoinDestinationsAtNsPerOp: float64(sjCol.NsPerOp()),
 		SkewJoinRoundNsPerOp:          float64(round.NsPerOp()),

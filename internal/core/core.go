@@ -701,6 +701,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 		if execErr = err; err == nil {
 			res.Output = sj.Output
 			res.MaxLoadBits = sj.MaxVirtualBits
+			res.TotalBits = sj.TotalBits
 			res.PredictedBits = sj.PredictedBits
 		}
 	case cp.gen != nil:
@@ -708,6 +709,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 		if execErr = err; err == nil {
 			res.Output = g.Output
 			res.MaxLoadBits = g.MaxVirtualBits
+			res.TotalBits = g.TotalBits
 			res.PredictedBits = g.PredictedBits
 		}
 	case cp.mr != nil:

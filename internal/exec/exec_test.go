@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/mpc"
+	"repro/internal/query"
 )
 
 func testDB() *data.Database {
@@ -19,8 +20,8 @@ func testDB() *data.Database {
 
 // modRouter sends tuple (a,b) to server a mod p.
 func modRouter(p int) mpc.Router {
-	return mpc.RouterFunc(func(rel string, t data.Tuple, dst []int) []int {
-		return append(dst, int(t[0])%p)
+	return mpc.RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0))%p)
 	})
 }
 
@@ -102,7 +103,7 @@ func TestRunDedup(t *testing.T) {
 		Physical: 3,
 		// Broadcast: every server holds every tuple, so without Dedup the
 		// output would triple.
-		Router: mpc.RouterFunc(func(rel string, t data.Tuple, dst []int) []int {
+		Router: mpc.RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 			return append(dst, 0, 1, 2)
 		}),
 		Local: func(s *mpc.Server) []data.Tuple {
@@ -171,14 +172,14 @@ func TestRunScratchReuse(t *testing.T) {
 	}
 }
 
-// pipelineStage builds a test stage: route S by t[0] mod v, then keep each
+// incStage builds a test stage: route S by column 0 mod v, then keep each
 // server's fragment under outName with +1 applied to column 0.
 func incStage(in string, out string, v int) Stage {
 	return Stage{
 		Plan: &PhysicalPlan{
 			Strategy: "test", Virtual: v, Physical: 2,
-			Router: mpc.RouterFunc(func(rel string, t data.Tuple, dst []int) []int {
-				return append(dst, int(t[0])%v)
+			Router: mpc.RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+				return append(dst, int(rel.At(row, 0))%v)
 			}),
 		},
 		LocalFragment: func(s *mpc.Server) *data.Relation {
@@ -276,5 +277,41 @@ func TestRunPipelinePanicsOnBadStages(t *testing.T) {
 			}()
 			RunPipeline(pl, db, Config{})
 		}()
+	}
+}
+
+// TestStandingRoutesDeltasWithoutAllocating: a standing query routes each
+// delta tuple through the plan router's DestinationsAt over its per-atom
+// one-row scratch, reaching the server a full round would and allocating
+// nothing per operation.
+func TestStandingRoutesDeltasWithoutAllocating(t *testing.T) {
+	plan := &PhysicalPlan{
+		Strategy: "test",
+		Virtual:  4,
+		Physical: 2,
+		Router:   modRouter(4),
+		Local: func(s *mpc.Server) []data.Tuple {
+			var out []data.Tuple
+			s.Fragment("S").Each(func(_ int, tu data.Tuple) bool {
+				out = append(out, append(data.Tuple(nil), tu...))
+				return true
+			})
+			return out
+		},
+	}
+	st, err := NewStanding(plan, query.MustParse("Q(x,y) :- S(x,y)"), testDB(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	da := st.atoms["S"]
+	for _, vals := range [][]int64{{5, 6}, {10, 3}, {15, 0}} {
+		got := st.route(da, vals)
+		if len(got) != 1 || got[0] != int(vals[0])%4 {
+			t.Fatalf("route(%v) = %v, want [%d]", vals, got, vals[0]%4)
+		}
+	}
+	vals := []int64{7, 9}
+	if allocs := testing.AllocsPerRun(100, func() { st.dst = st.route(da, vals) }); allocs != 0 {
+		t.Errorf("routing one delta tuple allocated %.1f times, want 0", allocs)
 	}
 }

@@ -163,11 +163,9 @@ func (r *Recovery) Add(other Recovery) {
 	r.Backoff += other.Backoff
 }
 
-// retrier tracks one execution's shared recovery budget. The recovery it
-// performs is sound only on the transactional sharded engine (the
-// executor's pooled clusters always use it); the legacy channel engine
-// delivers partially on a torn round, so replaying there would
-// double-deliver.
+// retrier tracks one execution's shared recovery budget. Replaying a torn
+// round in place is sound because communication rounds are transactional:
+// a torn round leaves receiver fragments untouched.
 type retrier struct {
 	cfg     *Config
 	cluster *mpc.Cluster

@@ -65,6 +65,12 @@ type touchEntry struct {
 type deltaAtom struct {
 	atom query.Atom
 	bits int64 // BitsPerTuple of the relation, for load accounting
+	// row is a private one-row relation shaped like the atom's relation:
+	// ApplyOp overwrites its only row with the delta tuple and routes it
+	// through Router.DestinationsAt, so routing a delta allocates nothing.
+	// It is never shared, snapshotted or tracked, which is what makes the
+	// in-place column writes safe.
+	row *data.Relation
 	// steps covers every other atom exactly once.
 	steps []deltaStep
 }
@@ -175,7 +181,10 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 // (relation, bound positions) it will probe.
 func (s *Standing) compile(db *data.Database) {
 	for j, atom := range s.q.Atoms {
-		da := &deltaAtom{atom: atom, bits: db.MustGet(atom.Name).BitsPerTuple()}
+		rel := db.MustGet(atom.Name)
+		row := data.NewRelation(rel.Name, rel.Arity, rel.Domain)
+		row.Add(make([]int64, rel.Arity)...)
+		da := &deltaAtom{atom: atom, bits: rel.BitsPerTuple(), row: row}
 		bound := make(map[int]bool, s.q.NumVars())
 		for _, v := range atom.Vars {
 			bound[v] = true
@@ -230,7 +239,7 @@ func (s *Standing) ApplyOp(rel string, vals []int64, insert bool) error {
 		return nil
 	}
 	t := data.Tuple(vals)
-	s.dst = s.router.Destinations(rel, t, s.dst[:0])
+	s.dst = s.route(da, vals)
 	s.routedTuples += int64(len(s.dst))
 	s.routedBits += da.bits * int64(len(s.dst))
 	for _, d := range s.dst {
@@ -251,6 +260,16 @@ func (s *Standing) ApplyOp(rel string, vals []int64, insert bool) error {
 		}
 	}
 	return nil
+}
+
+// route returns the destinations of one delta tuple of da's relation in
+// s.dst's reused backing.
+func (s *Standing) route(da *deltaAtom, vals []int64) []int {
+	cols := da.row.Columns()
+	for a, v := range vals {
+		cols[a][0] = v
+	}
+	return s.router.DestinationsAt(da.row, 0, s.dst[:0])
 }
 
 // deltaJoin computes {t} ⋈ (the server's resident fragments of every other

@@ -20,7 +20,7 @@ import (
 // The residual subcube of an atom is a fixed set of linear offsets, so it
 // is enumerated once at router construction; per tuple, routing is one
 // hash per bound dimension plus one append per destination — no odometer
-// and no per-tuple scratch. Destinations caches the last relation binding,
+// and no per-tuple scratch. DestinationsAt caches the last relation binding,
 // so a Router is not safe for concurrent use; it implements
 // mpc.PerSenderRouter and mpc.Round gives each sender its own instance.
 type Router struct {
@@ -29,11 +29,10 @@ type Router struct {
 	shares []int
 	stride []int // linearization strides, stride[k-1] = 1
 	atoms  map[string]*routerAtom
-	// last-bound relation, so Destinations/DestinationsAt resolve the atom
-	// table and column slices with an equality check instead of a map
-	// lookup (senders route one relation chunk at a time).
+	// last-bound relation, so DestinationsAt resolves the atom table with a
+	// pointer comparison instead of a map lookup (senders route one
+	// relation chunk at a time).
 	lastRel  *data.Relation
-	lastName string
 	lastAtom *routerAtom
 }
 
@@ -134,7 +133,7 @@ func (r *Router) Size() int { return r.grid.Size() }
 // grid and offset tables but owns a private relation-binding cache.
 func (r *Router) ForSender() mpc.Router {
 	c := *r
-	c.lastRel, c.lastName, c.lastAtom = nil, "", nil
+	c.lastRel, c.lastAtom = nil, nil
 	return &c
 }
 
@@ -147,34 +146,10 @@ func (r *Router) atomFor(rel string) *routerAtom {
 	return r.atoms[rel]
 }
 
-// Destinations implements mpc.Router: the subcube of servers receiving t,
-// in lexicographic coordinate order, with no allocations beyond growing
-// dst. Relations outside the query are not routed.
-//
-//skewlint:noalloc
-func (r *Router) Destinations(rel string, t data.Tuple, dst []int) []int {
-	ra := r.lastAtom
-	if rel != r.lastName || ra == nil {
-		ra = r.atomFor(rel)
-		if ra == nil {
-			return dst
-		}
-		r.lastName, r.lastAtom = rel, ra
-		r.lastRel = nil
-	}
-	lin := 0
-	for pos := range ra.dims {
-		d := &ra.dims[pos]
-		lin += hashing.HashSeeded(d.seed, t[pos], d.share) * d.stride
-	}
-	for _, off := range ra.offsets {
-		dst = append(dst, lin+off)
-	}
-	return dst
-}
-
-// DestinationsAt implements mpc.ColumnRouter: identical routing to
-// Destinations, hashing the relation's column strides directly.
+// DestinationsAt implements mpc.Router: the subcube of servers receiving
+// row `row` of rel, in lexicographic coordinate order, hashing the
+// relation's columns in place with no allocations beyond growing dst.
+// Relations outside the query are not routed.
 //
 //skewlint:noalloc
 func (r *Router) DestinationsAt(rel *data.Relation, row int, dst []int) []int {
@@ -184,7 +159,7 @@ func (r *Router) DestinationsAt(rel *data.Relation, row int, dst []int) []int {
 		if ra == nil {
 			return dst
 		}
-		r.lastRel, r.lastName, r.lastAtom = rel, rel.Name, ra
+		r.lastRel, r.lastAtom = rel, ra
 	}
 	cols := rel.Columns()
 	lin := 0

@@ -9,19 +9,19 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// NoAlloc enforces the zero-allocation contract on annotated hot paths.
-// The contract used to be guarded only dynamically (allocs/op assertions
-// in skewbench -storagebench and testing.AllocsPerRun); this analyzer
-// catches the same regressions at lint time, construct by construct.
+// NoAlloc enforces the zero-allocation contract on annotated hot paths at
+// lint time, construct by construct. The allocs/op assertions in skewbench
+// -storagebench and testing.AllocsPerRun check the same contract at run
+// time.
 var NoAlloc = &analysis.Analyzer{
 	Name: "noalloc",
 	Doc: `flag allocating constructs in functions annotated //skewlint:noalloc
 
 A function whose doc comment contains a //skewlint:noalloc line is a
-per-tuple hot path (router Destinations/DestinationsAt, comm-engine slab
-appends): its body must not allocate at steady state. Function literals
-assigned to mpc.SpanRoute.PerRow are implicitly annotated — the span
-contract runs them once per row.
+per-tuple hot path (router DestinationsAt, comm-engine slab appends): its
+body must not allocate at steady state. Function literals assigned to
+mpc.SpanRoute.PerRow are implicitly annotated — the span contract runs
+them once per row.
 
 Flagged constructs: composite literals, make/new, closures, fmt calls,
 string concatenation and string<->[]byte/[]rune conversions, implicit

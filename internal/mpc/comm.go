@@ -1,11 +1,8 @@
-// The sharded zero-channel communication engine.
+// The sharded communication engine.
 //
-// The MPC model charges only for bits received, but the simulator used to
-// pay real costs the model doesn't: one goroutine per send part and one
-// goroutine plus one buffered channel per (virtual) server. A §4.2 plan
-// with Θ(p) virtual servers per bin combination spent more time in
-// scheduler and channel overhead than in routing. This engine replaces all
-// of that with two bounded passes over plain memory:
+// A §4.2 plan allocates Θ(p) virtual servers per bin combination, so the
+// engine must not spend goroutines, channels or map lookups per server or
+// per tuple. It runs two bounded passes over plain memory:
 //
 //  1. Route: min(GOMAXPROCS, parts) workers pull sendParts off a shared
 //     atomic counter. Each worker batches routed tuples in a dense
@@ -27,8 +24,7 @@
 // scratch lives on the Cluster, so a pooled cluster serving repeated
 // rounds stops allocating at steady state. Within a fragment the arrival
 // order of slabs depends on worker interleaving: delivered fragments are
-// deterministic as multisets, not as sequences (the channel engine behaved
-// the same way).
+// deterministic as multisets, not as sequences.
 package mpc
 
 import (
@@ -81,7 +77,6 @@ type commWorker struct {
 	free    [][]int64  // recycled slabs, each cap batchTuples
 	dst     []int
 	dedup   dedupSet
-	scratch data.Tuple
 	span    SpanRoute // CompileSpan scratch, reused across spans
 }
 
@@ -131,7 +126,6 @@ func (w *commWorker) publish(c *Cluster, server int, d *delivery) {
 // table, then flush every touched batch.
 func (w *commWorker) route(c *Cluster, parts []sendPart, next *atomic.Int64, router Router, report func(error)) {
 	r := forSender(router)
-	cr, columnar := r.(ColumnRouter)
 	sr, spannable := r.(SpanRouter)
 	if cap(w.table) < c.P {
 		w.table = make([]delivery, c.P)
@@ -163,7 +157,7 @@ func (w *commWorker) route(c *Cluster, parts []sendPart, next *atomic.Int64, rou
 				continue
 			}
 		}
-		w.routeRows(c, table, part.rel, part.lo, part.hi, r, cr, columnar, report)
+		w.routeRows(c, table, part.rel, part.lo, part.hi, r, report)
 	}
 	// Flush the stragglers. touched may hold duplicates (a destination
 	// whose batch filled and restarted); publish skips the empties.
@@ -178,21 +172,12 @@ func (w *commWorker) route(c *Cluster, parts []sendPart, next *atomic.Int64, rou
 // declined spans.
 //
 //skewlint:noalloc
-func (w *commWorker) routeRows(c *Cluster, table []delivery, rel *data.Relation, lo, hi int, r Router, cr ColumnRouter, columnar bool, report func(error)) {
+func (w *commWorker) routeRows(c *Cluster, table []delivery, rel *data.Relation, lo, hi int, r Router, report func(error)) {
 	cols := rel.Columns()
 	arity := rel.Arity
 	bits := rel.BitsPerTuple()
-	if cap(w.scratch) < arity {
-		//skewlint:allow noalloc — one-time scratch growth to the widest arity, amortized across rounds
-		w.scratch = make(data.Tuple, arity)
-	}
-	scratch := w.scratch[:arity]
 	for row := lo; row < hi; row++ {
-		if columnar {
-			w.dst = cr.DestinationsAt(rel, row, w.dst[:0])
-		} else {
-			w.dst = r.Destinations(rel.Name, rel.ReadTuple(row, scratch), w.dst[:0])
-		}
+		w.dst = r.DestinationsAt(rel, row, w.dst[:0])
 		w.send(c, table, rel, cols, arity, bits, row, w.dst, report)
 	}
 }
@@ -205,7 +190,7 @@ func (w *commWorker) routeSpans(c *Cluster, table []delivery, part sendPart, idx
 	rel := part.rel
 	lo, hi := part.lo, part.hi
 	if lo < idx.LightEnd {
-		w.routeRows(c, table, rel, lo, min(hi, idx.LightEnd), sr, sr, true, report)
+		w.routeRows(c, table, rel, lo, min(hi, idx.LightEnd), sr, report)
 	}
 	pos := max(lo, idx.LightEnd)
 	spans := idx.Spans
@@ -219,7 +204,7 @@ func (w *commWorker) routeSpans(c *Cluster, table []delivery, part sendPart, idx
 		w.span.Dests = w.span.Dests[:0]
 		w.span.PerRow = nil
 		if !sr.CompileSpan(rel, idx.Attr, sp.Value, &w.span) {
-			w.routeRows(c, table, rel, slo, shi, sr, sr, true, report)
+			w.routeRows(c, table, rel, slo, shi, sr, report)
 			continue
 		}
 		if w.span.PerRow != nil {
@@ -229,7 +214,7 @@ func (w *commWorker) routeSpans(c *Cluster, table []delivery, part sendPart, idx
 		}
 	}
 	if hi > idx.Rows {
-		w.routeRows(c, table, rel, max(lo, idx.Rows), hi, sr, sr, true, report)
+		w.routeRows(c, table, rel, max(lo, idx.Rows), hi, sr, report)
 	}
 	// Don't pin the last compiled closure (and whatever it captured) on the
 	// pooled worker past the round.
@@ -363,7 +348,7 @@ func (w *commWorker) deliver(c *Cluster, next *atomic.Int64) {
 	}
 }
 
-// stageSharded runs the route pass of the sharded delivery engine: every
+// stageSharded runs the route pass of the delivery engine: every
 // part is routed and its slabs are staged in the receivers' mailboxes, but
 // nothing touches receiver fragments or load counters. The round's staged
 // state is then either committed wholesale (commitStaged) once the caller

@@ -33,15 +33,16 @@ func fuzzDB(rng *rand.Rand) *data.Database {
 
 // fuzzRouter is a pure router with a mix of fan-out shapes: singles, small
 // fan-outs with duplicates, and wide broadcasts (exercising the map-based
-// dedup path). Destinations depend only on (rel, tuple, seed).
+// dedup path). Destinations depend only on (relation name, row values,
+// seed).
 func fuzzRouter(p int, seed uint64) Router {
-	return RouterFunc(func(rel string, t data.Tuple, dst []int) []int {
+	return RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		h := seed
-		for _, c := range rel {
+		for _, c := range rel.Name {
 			h = h*1099511628211 + uint64(c)
 		}
-		for _, v := range t {
-			h = h*1099511628211 + uint64(v)
+		for _, col := range rel.Columns() {
+			h = h*1099511628211 + uint64(col[row])
 		}
 		pick := func(i int) int { return int((h ^ (h >> 7) ^ uint64(i)*2654435761) % uint64(p)) }
 		switch h % 8 {
@@ -105,8 +106,53 @@ func assertClustersEquivalent(t *testing.T, want, got *Cluster) {
 	}
 }
 
-// runEngines routes db (plus an optional resident shuffle) through both
-// communication engines and asserts equivalence.
+// referenceDeliver is the sequential reference delivery the sharded engine
+// is checked against: every row of every relation is routed in order and
+// appended once to each distinct destination, charging that server's load
+// counters. It shares no delivery code with the engine.
+func referenceDeliver(c *Cluster, router Router, rels ...*data.Relation) {
+	r := forSender(router)
+	var dst []int
+	for _, rel := range rels {
+		for row := 0; row < rel.Size(); row++ {
+			dst = r.DestinationsAt(rel, row, dst[:0])
+			seen := make(map[int]bool, len(dst))
+			for _, d := range dst {
+				if seen[d] {
+					continue
+				}
+				seen[d] = true
+				s := c.Servers[d]
+				frag := s.Received[rel.Name]
+				if frag == nil {
+					frag = data.NewRelation(rel.Name, rel.Arity, rel.Domain)
+					s.Received[rel.Name] = frag
+				}
+				frag.AppendRow(rel, row)
+				s.BitsIn += rel.BitsPerTuple()
+				s.TuplesIn++
+			}
+		}
+	}
+}
+
+// referenceShuffle is the sequential reference for ShuffleResident: every
+// server's resident fragments of names are detached, then re-delivered.
+func referenceShuffle(c *Cluster, router Router, names ...string) {
+	var rels []*data.Relation
+	for _, s := range c.Servers {
+		for _, name := range names {
+			if frag, ok := s.Received[name]; ok {
+				delete(s.Received, name)
+				rels = append(rels, frag)
+			}
+		}
+	}
+	referenceDeliver(c, router, rels...)
+}
+
+// runEngines routes db (plus a resident shuffle) through the sharded engine
+// and the sequential reference delivery and asserts equivalence.
 func runEngines(t *testing.T, seed uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(seed)))
@@ -114,30 +160,26 @@ func runEngines(t *testing.T, seed uint64) {
 	p := 1 + rng.Intn(40)
 	router := fuzzRouter(p, seed)
 
-	channel := NewCluster(p)
-	channel.Comm = ChannelComm
-	channel.Senders = 1 + rng.Intn(12)
-	if err := channel.Round(db, router); err != nil {
-		t.Fatalf("channel engine: %v", err)
+	ref := NewCluster(p)
+	for _, name := range db.Names() {
+		referenceDeliver(ref, router, db.Relations[name])
 	}
 	sharded := NewCluster(p)
 	sharded.Senders = 1 + rng.Intn(12)
 	if err := sharded.Round(db, router); err != nil {
 		t.Fatalf("sharded engine: %v", err)
 	}
-	assertClustersEquivalent(t, channel, sharded)
+	assertClustersEquivalent(t, ref, sharded)
 
 	// A resident shuffle through a second pure router must also agree
 	// (exercises fragment chunking on whatever skew the first round made).
 	router2 := fuzzRouter(p, seed^0x9e3779b97f4a7c15)
 	names := db.Names()
-	if err := channel.ShuffleResident(router2, names...); err != nil {
-		t.Fatalf("channel shuffle: %v", err)
-	}
+	referenceShuffle(ref, router2, names...)
 	if err := sharded.ShuffleResident(router2, names...); err != nil {
 		t.Fatalf("sharded shuffle: %v", err)
 	}
-	assertClustersEquivalent(t, channel, sharded)
+	assertClustersEquivalent(t, ref, sharded)
 }
 
 // TestEnginesEquivalent pins a spread of deterministic seeds; the fuzz
@@ -148,8 +190,8 @@ func TestEnginesEquivalent(t *testing.T) {
 	}
 }
 
-// FuzzCommunicateEngines differentially fuzzes the sharded zero-channel
-// engine against the legacy channel engine: identical per-server loads and
+// FuzzCommunicateEngines differentially fuzzes the sharded engine against
+// the sequential reference delivery: identical per-server loads and
 // identical delivered fragments as multisets on random databases and
 // routers (delivery order within a fragment is explicitly unspecified).
 func FuzzCommunicateEngines(f *testing.F) {
@@ -164,7 +206,7 @@ func FuzzCommunicateEngines(f *testing.F) {
 func TestShardedOutOfRangeReportsError(t *testing.T) {
 	db := singleRel(10)
 	c := NewCluster(2)
-	err := c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
+	err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 7)
 	}))
 	if err == nil {
@@ -178,8 +220,8 @@ func TestShardedOutOfRangeReportsError(t *testing.T) {
 func TestResizeReusesServersAndMaps(t *testing.T) {
 	c := NewCluster(8)
 	db := singleRel(100)
-	if err := c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%8))
+	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%8))
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +248,8 @@ func TestResizeReusesServersAndMaps(t *testing.T) {
 	if c.Servers[0] != s0 || c.Servers[7] != s7 {
 		t.Error("growing back did not reuse parked servers")
 	}
-	if err := c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%8))
+	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%8))
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -269,13 +311,13 @@ func TestShuffleResidentChunksHotFragment(t *testing.T) {
 	}
 	db.Put(r)
 	c := NewCluster(8)
-	if err := c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
+	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 0) // one hot server holds the whole intermediate
 	})); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ShuffleResident(RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%8))
+	if err := c.ShuffleResident(RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%8))
 	}), "S"); err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +382,7 @@ func TestDedupSetShrinksAfterWideBroadcast(t *testing.T) {
 }
 
 // TestShardedGoroutineBound asserts the sharded engine's goroutine count
-// stays O(GOMAXPROCS) even with hundreds of virtual servers — the channel
-// engine would spawn one receiver per server plus one sender per part.
+// stays O(GOMAXPROCS) even with hundreds of virtual servers and parts.
 func TestShardedGoroutineBound(t *testing.T) {
 	db := singleRel(5000)
 	c := NewCluster(512)
@@ -351,8 +392,8 @@ func TestShardedGoroutineBound(t *testing.T) {
 	go func() {
 		defer close(done)
 		for r := 0; r < 3; r++ {
-			if err := c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-				return append(dst, int(tu[0]%512), int((tu[0]*7)%512))
+			if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+				return append(dst, int(rel.At(row, 0)%512), int((rel.At(row, 0)*7)%512))
 			})); err != nil {
 				t.Error(err)
 				return
@@ -377,8 +418,8 @@ func TestShardedGoroutineBound(t *testing.T) {
 	}
 }
 
-// TestComputeAppendReusesBuffer checks the preallocated concatenation and
-// capacity reuse of the local-computation gather.
+// TestComputeAppendReusesBuffer checks the exact-size preallocated
+// concatenation and server order of the local-computation gather.
 func TestComputeAppendReusesBuffer(t *testing.T) {
 	c := NewCluster(6)
 	f := func(s *Server) []data.Tuple {
@@ -400,12 +441,5 @@ func TestComputeAppendReusesBuffer(t *testing.T) {
 		if out1[i-1][0] > out1[i][0] {
 			t.Fatalf("outputs out of server order at %d: %v then %v", i, out1[i-1], out1[i])
 		}
-	}
-	out2 := c.ComputeAppend(out1, f)
-	if len(out2) != 15 {
-		t.Fatalf("ComputeAppend returned %d tuples", len(out2))
-	}
-	if &out1[0] != &out2[0] {
-		t.Error("ComputeAppend did not reuse the supplied buffer's backing array")
 	}
 }

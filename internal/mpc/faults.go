@@ -19,12 +19,10 @@ import (
 // retry budget) — unlike router-contract violations, which remain panics.
 var (
 	// ErrTornRound reports a communication round in which only a prefix of
-	// the send parts arrived. Under the sharded engine the round is
-	// transactional: the staged prefix is discarded wholesale and receiver
-	// fragments are bit-identical to their pre-round state, so the round
-	// can simply be re-driven (see Cluster.MarkReplay). The legacy channel
-	// engine delivers the prefix directly; there the cluster must be Reset
-	// (or discarded) before reuse.
+	// the send parts arrived. The round is transactional: the staged prefix
+	// is discarded wholesale and receiver fragments are bit-identical to
+	// their pre-round state, so the round can simply be re-driven (see
+	// Cluster.MarkReplay).
 	ErrTornRound = errors.New("mpc: torn communication round (injected fault)")
 	// ErrComputeFailed reports a server whose local-computation phase
 	// failed; the round's output is incomplete until the failed servers

@@ -5,15 +5,17 @@
 // communication phase, exactly as the model defines it.
 //
 // The model charges only for bits received, so the simulator keeps its own
-// costs out of the way: the communication phase runs on a sharded
-// zero-channel delivery engine (see comm.go) whose goroutine count is
-// O(GOMAXPROCS) regardless of the virtual-server count, and clusters are
-// reusable (Resize) so executors can pool them instead of reallocating
-// Θ(p) servers per run.
+// costs out of the way: the communication phase runs on one sharded
+// delivery engine (see comm.go) whose goroutine count is O(GOMAXPROCS)
+// regardless of the virtual-server count, and clusters are reusable
+// (Resize) so executors can pool them instead of reallocating Θ(p) servers
+// per run.
 //
 // The one-round restriction is enforced structurally: a Router decides the
-// destinations of a tuple from the tuple alone plus global statistics fixed
-// before the round, never from other servers' data.
+// destinations of a row from that row's values alone plus global
+// statistics fixed before the round, never from other servers' data. Rows
+// are routed in place, column-wise (Router.DestinationsAt); heavy-value
+// runs of a partitioned relation may be routed span-wise (SpanRouter).
 package mpc
 
 import (
@@ -27,34 +29,23 @@ import (
 	"repro/internal/data"
 )
 
-// Router decides which servers receive a tuple of a relation during the
-// communication phase. Implementations must be pure functions of
-// (relation, tuple) and pre-round statistics. Destinations appends server
-// IDs to dst and returns it (allowing allocation-free reuse); IDs must lie
-// in [0, P). Duplicate IDs are delivered once.
+// Router decides which servers receive each row of a relation during the
+// communication phase. DestinationsAt reads row `row` of rel in place,
+// through the relation's column strides, so routing never materializes a
+// row view; it must be a pure function of the relation's name, the row's
+// values and pre-round statistics. It appends server IDs to dst and
+// returns it (allowing allocation-free reuse); IDs must lie in [0, P).
+// Duplicate IDs are delivered once.
 type Router interface {
-	Destinations(rel string, t data.Tuple, dst []int) []int
+	DestinationsAt(rel *data.Relation, row int, dst []int) []int
 }
 
 // RouterFunc adapts a function to the Router interface.
-type RouterFunc func(rel string, t data.Tuple, dst []int) []int
+type RouterFunc func(rel *data.Relation, row int, dst []int) []int
 
-// Destinations implements Router.
-func (f RouterFunc) Destinations(rel string, t data.Tuple, dst []int) []int {
-	return f(rel, t, dst)
-}
-
-// ColumnRouter is an optional Router extension for columnar routing:
-// DestinationsAt decides the destinations of row `row` of rel by reading
-// the relation's column strides directly, so the communication phase never
-// materializes a row view. Semantics are otherwise identical to
-// Destinations(rel.Name, rel.Tuple(row), dst) — the two entry points must
-// route every tuple to the same servers in the same order. The delivery
-// engine prefers this path; Routers without it are driven through a
-// gathered scratch row.
-type ColumnRouter interface {
-	Router
-	DestinationsAt(rel *data.Relation, row int, dst []int) []int
+// DestinationsAt implements Router.
+func (f RouterFunc) DestinationsAt(rel *data.Relation, row int, dst []int) []int {
+	return f(rel, row, dst)
 }
 
 // SpanRoute is the compiled routing of one heavy partition span — a
@@ -68,7 +59,7 @@ type ColumnRouter interface {
 //   - PerRow non-nil: rows still need a per-row dimension (a grid row hash
 //     on a non-partition attribute), but the span-level decision — which
 //     hitter plan, which block — is resolved once at compile time. PerRow
-//     appends to dst and returns it, like ColumnRouter.DestinationsAt, and
+//     appends to dst and returns it, like Router.DestinationsAt, and
 //     is called only from the compiling worker's goroutine.
 //
 // Both slices may be retained and reused by the engine across spans.
@@ -77,7 +68,7 @@ type SpanRoute struct {
 	PerRow func(row int, dst []int) []int
 }
 
-// SpanRouter is an optional ColumnRouter extension for partition-wise
+// SpanRouter is an optional Router extension for partition-wise
 // routing over heavy-value runs (data.PartitionIndex). When a routed
 // relation carries a partition index on attribute attr and the router
 // acknowledges that attribute via SpansAttr, the delivery engine resolves
@@ -91,7 +82,7 @@ type SpanRoute struct {
 // invoked on the ForSender instance when the router is a PerSenderRouter, so
 // compiled closures may use per-sender scratch.
 type SpanRouter interface {
-	ColumnRouter
+	Router
 	// SpansAttr reports whether CompileSpan understands spans of rel
 	// partitioned on attribute attr.
 	SpansAttr(rel *data.Relation, attr int) bool
@@ -103,7 +94,7 @@ type SpanRouter interface {
 // PerSenderRouter is an optional Router extension for allocation-free
 // routing: a router that keeps reusable per-tuple scratch implements
 // ForSender, and the delivery engine hands each worker its own instance so
-// Destinations never allocates and never races. Routers without mutable
+// DestinationsAt never allocates and never races. Routers without mutable
 // scratch simply don't implement it.
 type PerSenderRouter interface {
 	Router
@@ -133,22 +124,6 @@ type Server struct {
 // empty but never nil after a round that routed that relation).
 func (s *Server) Fragment(name string) *data.Relation { return s.Received[name] }
 
-// CommEngine selects the communication-phase implementation.
-type CommEngine int
-
-const (
-	// ShardedComm is the default zero-channel engine: a bounded worker
-	// pool routes send parts into dense per-destination slab tables and
-	// publishes full slabs to per-receiver mailboxes, which a second
-	// bounded pass drains (see comm.go).
-	ShardedComm CommEngine = iota
-	// ChannelComm is the legacy engine — one goroutine per send part, one
-	// receiver goroutine and buffered channel per server — kept as a
-	// reference implementation for differential tests and the commbench
-	// baseline (see channels.go).
-	ChannelComm
-)
-
 // Cluster is a set of p MPC servers. A cluster is reusable: Resize
 // re-targets it to a different server count while retaining every server
 // (and its map storage) created under earlier sizes, which is what lets
@@ -162,20 +137,16 @@ type Cluster struct {
 	// granularity only — the goroutine count is bounded by GOMAXPROCS —
 	// and never affects where tuples are delivered.
 	Senders int
-	// Comm selects the communication engine; the zero value is the
-	// sharded zero-channel engine.
-	Comm CommEngine
 	// ResidentChunk caps the rows one send part carries out of a resident
 	// fragment in ShuffleResident; defaults to DefaultResidentChunkTuples
 	// when zero. Like Senders it controls work granularity only, never
 	// where tuples are delivered.
 	ResidentChunk int
-	// Ctx, when non-nil, is checked at in-round checkpoints: sharded route
-	// workers test it per claimed send part, so canceling mid-round aborts
-	// the round instead of running it to completion. The round returns the
-	// context's error; the sharded engine discards its staged deliveries,
-	// leaving fragments untouched, while the legacy channel engine (which
-	// does not checkpoint) may have delivered partially.
+	// Ctx, when non-nil, is checked at in-round checkpoints: route workers
+	// test it per claimed send part, so canceling mid-round aborts the round
+	// instead of running it to completion. The round returns the context's
+	// error and discards its staged deliveries, leaving fragments and load
+	// counters untouched.
 	Ctx context.Context
 	// Faults, when non-nil, injects the seeded fault schedule (torn rounds,
 	// failed compute, stragglers); see Faults. Executors set it per run and
@@ -340,11 +311,10 @@ func (c *Cluster) ShuffleResident(router Router, names ...string) error {
 		}
 	}
 	err := c.communicate(parts, router)
-	if err != nil && c.Comm != ChannelComm {
-		// The sharded engine discarded the round wholesale, so re-attaching
-		// the outgoing fragments restores the exact pre-round state and the
-		// shuffle can simply be re-driven. (The channel engine delivered
-		// partially; restoring would double-count, so its callers Reset.)
+	if err != nil {
+		// The failed round was discarded wholesale, so re-attaching the
+		// outgoing fragments restores the exact pre-round state and the
+		// shuffle can simply be re-driven.
 		for _, d := range moved {
 			d.s.Received[d.frag.Name] = d.frag
 		}
@@ -381,15 +351,12 @@ func appendChunkedParts(parts []sendPart, rel *data.Relation, chunk int) []sendP
 // executor calls this after a torn round before re-driving it.
 func (c *Cluster) MarkReplay() { c.replayRound = true }
 
-// communicate dispatches the communication phase to the selected engine,
-// applying the torn-round fault (only a prefix of the parts arrives)
-// engine-independently. Under the sharded engine the round is a
-// transaction: routed slabs are staged in mailboxes and committed into
-// receiver fragments only once every part of the round has arrived; a torn
-// round (or a mid-round context cancellation) discards the staged state
-// wholesale, leaving fragments and load counters bit-identical to the
-// pre-round state. The legacy channel engine delivers as it routes and
-// keeps its non-transactional semantics.
+// communicate runs one communication phase as a transaction, applying the
+// torn-round fault (only a prefix of the parts arrives): routed slabs are
+// staged in mailboxes and committed into receiver fragments only once every
+// part of the round has arrived. A torn round (or a mid-round context
+// cancellation) discards the staged state wholesale, leaving fragments and
+// load counters bit-identical to the pre-round state.
 func (c *Cluster) communicate(parts []sendPart, router Router) error {
 	if len(parts) == 0 {
 		c.replayRound = false
@@ -410,23 +377,6 @@ func (c *Cluster) communicate(parts []sendPart, router Router) error {
 		}
 	}
 	c.replayRound = false
-	tornErr := func() error {
-		return fmt.Errorf("mpc: round %d attempt %d delivered %d of %d parts: %w",
-			c.curRound, c.curAttempt, len(parts), total, ErrTornRound)
-	}
-	if c.Comm == ChannelComm {
-		var err error
-		if len(parts) > 0 {
-			err = c.communicateChannels(parts, router)
-		}
-		if err != nil {
-			return err
-		}
-		if torn {
-			return tornErr()
-		}
-		return nil
-	}
 	var err error
 	if len(parts) > 0 {
 		err = c.stageSharded(parts, router)
@@ -436,7 +386,8 @@ func (c *Cluster) communicate(parts []sendPart, router Router) error {
 		if err != nil {
 			return err
 		}
-		return tornErr()
+		return fmt.Errorf("mpc: round %d attempt %d delivered %d of %d parts: %w",
+			c.curRound, c.curAttempt, len(parts), total, ErrTornRound)
 	}
 	c.commitStaged()
 	return nil
@@ -463,8 +414,7 @@ func (c *Cluster) reportFault(err error) {
 
 // eachServer runs f(worker, server) over every server from a bounded pool
 // of min(GOMAXPROCS, P) goroutines claiming servers off a shared counter —
-// local computation and delivery must not spawn Θ(Virtual) goroutines the
-// way the channel engine did.
+// local computation must not spawn Θ(Virtual) goroutines.
 func (c *Cluster) eachServer(f func(worker int, s *Server)) {
 	workers := min(runtime.GOMAXPROCS(0), c.P)
 	if workers <= 1 {
@@ -607,40 +557,23 @@ func (c *Cluster) recomputePhaseFaults() (*Faults, uint64, uint64) {
 }
 
 // Compute runs f on every server (the local-computation phase) and returns
-// the concatenated outputs in server order.
+// the concatenated outputs in server order, allocated once at exact size.
+// Injected compute failures are recorded via TakeFault; the failed servers
+// contribute no output.
 func (c *Cluster) Compute(f func(s *Server) []data.Tuple) []data.Tuple {
-	return c.ComputeAppend(nil, f)
-}
-
-// ComputeAppend is Compute concatenating into buf: per-server output
-// lengths are summed first so the result is allocated (or buf's capacity
-// reused) exactly once. buf's contents are discarded; the returned slice
-// reuses buf's backing array when it is large enough. Injected compute
-// failures are recorded via TakeFault; the failed servers contribute no
-// output.
-func (c *Cluster) ComputeAppend(buf []data.Tuple, f func(s *Server) []data.Tuple) []data.Tuple {
 	outs := make([][]data.Tuple, c.P)
 	for _, id := range c.ComputeGather(outs, f) {
 		c.reportFault(fmt.Errorf("mpc: compute phase %d, server %d: %w", c.curPhase, id, ErrComputeFailed))
 	}
-	return concatOuts(buf, outs)
-}
-
-// concatOuts concatenates per-server outputs into buf in server order,
-// allocating at most once.
-func concatOuts(buf []data.Tuple, outs [][]data.Tuple) []data.Tuple {
 	total := 0
 	for _, o := range outs {
 		total += len(o)
 	}
-	if cap(buf) < total {
-		buf = make([]data.Tuple, 0, total)
-	}
-	buf = buf[:0]
+	out := make([]data.Tuple, 0, total)
 	for _, o := range outs {
-		buf = append(buf, o...)
+		out = append(out, o...)
 	}
-	return buf
+	return out
 }
 
 // ComputeGather runs f on every server (the local-computation phase),

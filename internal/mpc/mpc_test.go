@@ -24,8 +24,8 @@ func singleRel(m int) *data.Database {
 func TestRoundHashPartition(t *testing.T) {
 	db := singleRel(1000)
 	c := NewCluster(10)
-	c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%10))
+	c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%10))
 	}))
 	loads := c.Loads()
 	if loads.TotalTuples != 1000 {
@@ -44,7 +44,7 @@ func TestRoundBroadcast(t *testing.T) {
 	db := singleRel(50)
 	c := NewCluster(4)
 	all := []int{0, 1, 2, 3}
-	c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
+	c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, all...)
 	}))
 	loads := c.Loads()
@@ -64,7 +64,7 @@ func TestRoundBroadcast(t *testing.T) {
 func TestRoundDuplicateDestinationsDeliveredOnce(t *testing.T) {
 	db := singleRel(10)
 	c := NewCluster(2)
-	c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
+	c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 0, 0, 0)
 	}))
 	if got := c.Servers[0].TuplesIn; got != 10 {
@@ -75,7 +75,7 @@ func TestRoundDuplicateDestinationsDeliveredOnce(t *testing.T) {
 func TestRoundAccumulatesAcrossCalls(t *testing.T) {
 	db := singleRel(10)
 	c := NewCluster(2)
-	r := RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
+	r := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 0)
 	})
 	c.Round(db, r)
@@ -89,7 +89,7 @@ func TestRoundOutOfRangeReportsError(t *testing.T) {
 	db := singleRel(1)
 	c := NewCluster(2)
 	c.Senders = 1
-	err := c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
+	err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 7)
 	}))
 	if err == nil {
@@ -119,7 +119,7 @@ func TestComputeCollects(t *testing.T) {
 func TestReset(t *testing.T) {
 	db := singleRel(10)
 	c := NewCluster(2)
-	c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
+	c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 0)
 	}))
 	c.Reset()
@@ -161,8 +161,8 @@ func TestRoundMultipleRelations(t *testing.T) {
 	db.Put(r1)
 	db.Put(r2)
 	c := NewCluster(2)
-	c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		if rel == "A" {
+	c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		if rel.Name == "A" {
 			return append(dst, 0)
 		}
 		return append(dst, 1)
@@ -181,8 +181,8 @@ func TestRoundMultipleRelations(t *testing.T) {
 func TestRoundManySendersConsistent(t *testing.T) {
 	// Same routing with different sender counts must give identical loads.
 	ref := NewCluster(8)
-	refRouter := RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%8), int((tu[0]*7)%8))
+	refRouter := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%8), int((rel.At(row, 0)*7)%8))
 	})
 	db := singleRel(5000)
 	ref.Senders = 1
@@ -201,8 +201,8 @@ func TestRoundManySendersConsistent(t *testing.T) {
 func TestHistogramBalanced(t *testing.T) {
 	db := singleRel(1000)
 	c := NewCluster(10)
-	c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%10))
+	c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%10))
 	}))
 	h := c.Histogram(4)
 	total := 0
@@ -238,7 +238,7 @@ func TestHistogramPanics(t *testing.T) {
 func TestRenderHistogram(t *testing.T) {
 	db := singleRel(100)
 	c := NewCluster(4)
-	c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
+	c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 0) // everything to server 0
 	}))
 	out := c.RenderHistogram(4, 20)
@@ -251,7 +251,7 @@ func TestGiniCoefficient(t *testing.T) {
 	// All to one server: Gini near (n-1)/n.
 	db := singleRel(100)
 	c := NewCluster(4)
-	c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
+	c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 0)
 	}))
 	g := c.GiniCoefficient()
@@ -260,8 +260,8 @@ func TestGiniCoefficient(t *testing.T) {
 	}
 	// Balanced: near 0.
 	c2 := NewCluster(4)
-	c2.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%4))
+	c2.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%4))
 	}))
 	if g2 := c2.GiniCoefficient(); g2 > 0.1 {
 		t.Errorf("balanced Gini = %v, want near 0", g2)
@@ -276,8 +276,8 @@ func TestGiniCoefficient(t *testing.T) {
 // must produce bit-identical loads.
 func TestRouterPurityProperty(t *testing.T) {
 	db := singleRel(2000)
-	router := RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%7), int((tu[0]*13)%7))
+	router := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%7), int((rel.At(row, 0)*13)%7))
 	})
 	a := NewCluster(7)
 	a.Round(db, router)
@@ -297,8 +297,8 @@ func TestConcurrentClustersIndependent(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			c := NewCluster(4)
-			c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-				return append(dst, int(tu[0]%4))
+			c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+				return append(dst, int(rel.At(row, 0)%4))
 			}))
 			done <- c.Loads().TotalBits
 		}()
@@ -315,16 +315,16 @@ func TestShuffleResidentMovesFragmentsServerToServer(t *testing.T) {
 	db := singleRel(1000)
 	c := NewCluster(10)
 	// Round 1: mod-10 partition.
-	if err := c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%10))
+	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%10))
 	})); err != nil {
 		t.Fatal(err)
 	}
 	bitsAfterRound := c.Loads().TotalBits
 	// Shuffle the resident fragments into a different layout (div-100
 	// partition) without touching the database.
-	if err := c.ShuffleResident(RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]/100))
+	if err := c.ShuffleResident(RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)/100))
 	}), "S"); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestShuffleResidentMovesFragmentsServerToServer(t *testing.T) {
 
 func TestShuffleResidentSkipsMissingNames(t *testing.T) {
 	c := NewCluster(4)
-	if err := c.ShuffleResident(RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
+	if err := c.ShuffleResident(RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 0)
 	}), "nope"); err != nil {
 		t.Fatal(err)
@@ -366,8 +366,8 @@ func TestShuffleResidentSkipsMissingNames(t *testing.T) {
 func TestComputeResidentReplacesFragments(t *testing.T) {
 	db := singleRel(100)
 	c := NewCluster(4)
-	if err := c.Round(db, RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%4))
+	if err := c.Round(db, RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%4))
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestRoundRelationsRoutesOnlyListed(t *testing.T) {
 	extra.Add(1)
 	db.Put(extra)
 	c := NewCluster(4)
-	if err := c.RoundRelations(RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
+	if err := c.RoundRelations(RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 0)
 	}), db.MustGet("S")); err != nil {
 		t.Fatal(err)

@@ -194,11 +194,11 @@ func BenchmarkResidentChunk(b *testing.B) {
 		r.Add(i)
 	}
 	db.Put(r)
-	hot := RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
+	hot := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
 		return append(dst, 0)
 	})
-	spread := RouterFunc(func(rel string, tu data.Tuple, dst []int) []int {
-		return append(dst, int(tu[0]%16))
+	spread := RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, int(rel.At(row, 0)%16))
 	})
 	for _, chunk := range []int{128, 512, 1024, 4096, 65536} {
 		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {

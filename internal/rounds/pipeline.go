@@ -426,8 +426,8 @@ const dimKey, dimLeft, dimRight = 0, 1, 2
 // grids, cartesian steps over a p-server grid, everything else by hash
 // join on the key columns. Inputs are identified by relation name — base
 // relations arriving from the input servers and resident intermediates
-// shuffled server-to-server route identically. The columnar entry point
-// reads key columns in place; its projection scratch makes it per-sender
+// shuffled server-to-server route identically. Routing reads key columns
+// in place; its projection scratch makes it per-sender
 // (mpc.PerSenderRouter).
 type stepRouter struct {
 	leftName, rightName string
@@ -457,36 +457,9 @@ func (r *stepRouter) keyScratch(n int) data.Tuple {
 	return r.proj[:n]
 }
 
-// Destinations implements mpc.Router. Relations that are not this step's
-// inputs are not routed.
-//
-//skewlint:noalloc
-func (r *stepRouter) Destinations(rel string, t data.Tuple, dst []int) []int {
-	isLeft := rel == r.leftName
-	if !isLeft && rel != r.rightName {
-		return dst
-	}
-	kp := r.rightKey
-	if isLeft {
-		kp = r.leftKey
-	}
-	key := r.keyScratch(len(kp))
-	for i, pos := range kp {
-		key[i] = t[pos]
-	}
-	if hp := r.heavy[data.KeyOf(key)]; hp != nil {
-		return r.gridRoute(isLeft, hp.base, hp.p1, hp.p2, rowHash(t), dst)
-	}
-	if r.cartesian {
-		g1, g2 := r.cartesianGrid()
-		return r.gridRoute(isLeft, 0, g1, g2, rowHash(t), dst)
-	}
-	return append(dst, r.keyHash(key))
-}
-
-// DestinationsAt implements mpc.ColumnRouter: identical routing, reading
-// the key columns (and, on the grid paths, all columns for the row hash)
-// in place.
+// DestinationsAt implements mpc.Router, reading the key columns (and, on
+// the grid paths, all columns for the row hash) in place. Relations that
+// are not this step's inputs are not routed.
 //
 //skewlint:noalloc
 func (r *stepRouter) DestinationsAt(rel *data.Relation, row int, dst []int) []int {
@@ -613,18 +586,8 @@ func keyPositions(schema, joinVars []int) []int {
 	return pos
 }
 
-// rowHash folds a whole tuple into one value for the non-key dimension of
-// a cartesian grid.
-func rowHash(t data.Tuple) int64 {
-	h := int64(1469598103934665603)
-	for _, v := range t {
-		h = h ^ v
-		h *= 1099511628211
-	}
-	return h
-}
-
-// rowHashCols is rowHash over a columnar row.
+// rowHashCols folds a whole row into one value for the non-key dimension
+// of a cartesian grid.
 func rowHashCols(cols [][]int64, row int) int64 {
 	h := int64(1469598103934665603)
 	for _, col := range cols {

@@ -88,6 +88,7 @@ type GeneralResult struct {
 	Output          []data.Tuple
 	MaxVirtualBits  int64
 	MaxPhysicalBits int64
+	TotalBits       int64 // received bits summed over all virtual servers
 	VirtualServers  int
 	NumBinCombos    int
 	// PredictedBits is max_B p^{λ(B)}: Theorem 4.6 bounds the load by this

@@ -252,6 +252,7 @@ func (gp *GeneralPlan) ExecuteWith(db *data.Database, ec exec.Config) (GeneralRe
 		Output:          er.Output,
 		MaxVirtualBits:  er.MaxVirtualBits,
 		MaxPhysicalBits: er.MaxPhysicalBits,
+		TotalBits:       er.Loads.TotalBits,
 		VirtualServers:  gp.Phys.Virtual,
 		NumBinCombos:    gp.NumBinCombos,
 		PredictedBits:   gp.PredictedBits,
@@ -287,7 +288,7 @@ type generalRouter struct {
 	atomIndex map[string]int
 	family    *hashing.Family
 	scratch   int // max of atom arities and free-dim counts
-	// Per-tuple scratch, reused across Destinations calls.
+	// Per-tuple scratch, reused across DestinationsAt calls.
 	proj   data.Tuple
 	row    data.Tuple
 	coords []int
@@ -314,22 +315,10 @@ func (r *generalRouter) ensureScratch() {
 	}
 }
 
-// Destinations implements mpc.Router over the bin-combination layout.
-//
-//skewlint:noalloc
-func (r *generalRouter) Destinations(rel string, t data.Tuple, dst []int) []int {
-	j, ok := r.atomIndex[rel]
-	if !ok {
-		return dst
-	}
-	r.ensureScratch()
-	return r.destinations(j, t, dst)
-}
-
-// DestinationsAt implements mpc.ColumnRouter: the row is gathered into
-// reusable scratch (the §4.2 projections touch every attribute subset, so
-// unlike the HC and skew-join routers there is no untouched column to
-// skip) and routed identically to Destinations.
+// DestinationsAt implements mpc.Router over the bin-combination layout.
+// The row is gathered into reusable scratch: the §4.2 projections touch
+// every attribute subset, so unlike the HC and skew-join routers there is
+// no untouched column to skip.
 //
 //skewlint:noalloc
 func (r *generalRouter) DestinationsAt(rel *data.Relation, row int, dst []int) []int {

@@ -75,6 +75,7 @@ type JoinResult struct {
 	// physical ones round-robin.
 	MaxVirtualBits  int64
 	MaxPhysicalBits int64
+	TotalBits       int64 // received bits summed over all virtual servers
 	VirtualServers  int
 	// PredictedTuples is Eq. (10): max(m1/p, m2/p, L1, L2, L12) in tuples;
 	// PredictedBits converts at 2·⌈log₂ n⌉ bits per tuple.
@@ -329,8 +330,8 @@ func PlanJoin(q *query.Query, db *data.Database, cfg JoinConfig) *JoinPlan {
 // joinRouter routes the §4.1 skew join: light z-values hash-join over
 // servers [0,p), heavy hitters go to their per-hitter blocks. It carries
 // only plan-time tables (hitter classes frozen into plans) and no mutable
-// scratch, so one instance is safe for concurrent senders. The columnar
-// entry point reads the z and x columns directly; no row is materialized.
+// scratch, so one instance is safe for concurrent senders. Routing reads
+// the z and x columns directly; no row is materialized.
 type joinRouter struct {
 	sh    joinShape
 	plans map[int64]*hitterPlan
@@ -339,24 +340,8 @@ type joinRouter struct {
 	zSeed, xSeed, ySeed uint64
 }
 
-// Destinations implements mpc.Router.
-//
-//skewlint:noalloc
-func (r *joinRouter) Destinations(rel string, t data.Tuple, dst []int) []int {
-	// The database may carry relations outside the join (the engine no
-	// longer isolates the two via a renamed copy); they are not routed.
-	first := rel == r.sh.name1
-	if !first && rel != r.sh.name2 {
-		return dst
-	}
-	if first {
-		return r.route(true, t[r.sh.zPos1], t[r.sh.xPos1], dst)
-	}
-	return r.route(false, t[r.sh.zPos2], t[r.sh.xPos2], dst)
-}
-
-// DestinationsAt implements mpc.ColumnRouter: identical routing, hashing
-// the join columns in place.
+// DestinationsAt implements mpc.Router, hashing the join columns in place.
+// The database may carry relations outside the join; they are not routed.
 //
 //skewlint:noalloc
 func (r *joinRouter) DestinationsAt(rel *data.Relation, row int, dst []int) []int {
@@ -414,7 +399,7 @@ func (r *joinRouter) route(first bool, z, x int64, dst []int) []int {
 }
 
 // SpansAttr implements mpc.SpanRouter: the join column of either relation.
-// (In a self-join both atoms resolve to name1, matching Destinations.)
+// (In a self-join both atoms resolve to name1, matching DestinationsAt.)
 func (r *joinRouter) SpansAttr(rel *data.Relation, attr int) bool {
 	if rel.Name == r.sh.name1 {
 		return attr == r.sh.zPos1
@@ -520,6 +505,7 @@ func (jp *JoinPlan) ExecuteWith(db *data.Database, ec exec.Config) (JoinResult, 
 		Output:          er.Output,
 		MaxVirtualBits:  er.MaxVirtualBits,
 		MaxPhysicalBits: er.MaxPhysicalBits,
+		TotalBits:       er.Loads.TotalBits,
 		VirtualServers:  jp.Phys.Virtual,
 		PredictedTuples: jp.PredictedTuples,
 		PredictedBits:   jp.PredictedBits,
@@ -567,8 +553,8 @@ func VanillaHashJoinLoads(db *data.Database, p int, seed uint64) int64 {
 func vanillaRound(db *data.Database, p int, seed uint64) *mpc.Cluster {
 	family := hashing.NewFamily(seed)
 	cluster := mpc.NewCluster(p)
-	router := mpc.RouterFunc(func(rel string, t data.Tuple, dst []int) []int {
-		return append(dst, family.Hash(2, t[1], p))
+	router := mpc.RouterFunc(func(rel *data.Relation, row int, dst []int) []int {
+		return append(dst, family.Hash(2, rel.At(row, 1), p))
 	})
 	if err := cluster.Round(db, router); err != nil {
 		panic(err)
