@@ -11,6 +11,7 @@ package data
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -444,6 +445,20 @@ func (r *Relation) AppendColumns(cols [][]int64, count int) {
 		for i := r.rows - count; i < r.rows; i++ {
 			r.noteAppended(i)
 		}
+	}
+}
+
+// Grow reserves capacity for n more rows in every column, so the next n
+// appended rows (Add, AppendColumns, AppendRow) land without re-growing
+// the backing. It adds no rows and leaves gen and the maintained state
+// untouched; n ≤ 0 is a no-op. Published snapshot views keep the backing
+// they froze.
+func (r *Relation) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	for a, col := range r.cols {
+		r.cols[a] = slices.Grow(col, n)
 	}
 }
 

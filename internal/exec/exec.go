@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/data"
 	"repro/internal/join"
@@ -22,10 +23,11 @@ import (
 
 // PhysicalPlan is the executable form a strategy planner produces: a
 // virtual-server layout, a router over virtual IDs, and the per-server
-// local computation. Plans are immutable once built and safe to execute
-// repeatedly (and concurrently) — routers that keep mutable scratch must
-// implement mpc.PerSenderRouter so every sender goroutine works on its own
-// instance. This is what Engine's plan cache stores.
+// local computation. Plans are immutable once built (apart from Run's
+// atomic output-size hint) and safe to execute repeatedly (and
+// concurrently) — routers that keep mutable scratch must implement
+// mpc.PerSenderRouter so every sender goroutine works on its own instance.
+// This is what Engine's plan cache stores.
 type PhysicalPlan struct {
 	// Strategy labels the plan in diagnostics and panics.
 	Strategy string
@@ -61,6 +63,11 @@ type PhysicalPlan struct {
 	// engine uses them to drive Database.EnsurePartitioned lazily, and an
 	// unpartitioned relation simply routes per-tuple.
 	PartitionHints []PartitionHint
+
+	// lastOutput is the answer count of this plan's most recent execution
+	// (before Dedup). Run sizes its gather buffer from it before any
+	// server materializes answers; see Run.
+	lastOutput atomic.Int64
 }
 
 // PartitionHint is one (relation, attribute) pair a plan's router routes
@@ -162,13 +169,15 @@ type Scratch struct {
 func (s *Scratch) DetachOutput() { s.output = nil }
 
 // appendOuts concatenates per-server compute outputs into buf in server
-// order, sizing the allocation once.
-func appendOuts(buf []data.Tuple, outs [][]data.Tuple) []data.Tuple {
+// order, sizing the allocation once. A reserved buf (Run's size hint) more
+// than twice the answer count is dropped for an exact allocation, so a
+// shrunken result never pins its predecessor's reservation.
+func appendOuts(buf []data.Tuple, outs [][]data.Tuple, reserved bool) []data.Tuple {
 	total := 0
 	for _, o := range outs {
 		total += len(o)
 	}
-	if cap(buf) < total {
+	if cap(buf) < total || reserved && cap(buf) > 2*total {
 		buf = make([]data.Tuple, 0, total)
 	}
 	buf = buf[:0]
@@ -258,16 +267,27 @@ func Run(plan *PhysicalPlan, db *data.Database, cfg Config) (Result, error) {
 	}
 	var res Result
 	if plan.Local != nil && !cfg.SkipCompute {
+		var buf []data.Tuple
+		if cfg.Scratch != nil {
+			buf = cfg.Scratch.output
+		}
+		// Reserve the gather buffer before the servers materialize their
+		// answers, at the size this plan produced last time (exact when a
+		// cached plan re-runs on unchanged data). Allocating the one large
+		// pointer array while the heap holds no answers keeps a GC cycle it
+		// triggers from marking a whole execution's output live; a stale
+		// reservation costs one exact fallback allocation in appendOuts.
+		reserved := false
+		if hint := int(plan.lastOutput.Load()); cap(buf) < hint {
+			buf, reserved = make([]data.Tuple, 0, hint), true
+		}
 		outs := make([][]data.Tuple, plan.Virtual)
 		if err := rt.driveCompute(plan.Strategy, outs, plan.Local); err != nil {
 			pool.Put(cluster)
 			return Result{}, err
 		}
-		var buf []data.Tuple
-		if cfg.Scratch != nil {
-			buf = cfg.Scratch.output
-		}
-		res.Output = appendOuts(buf, outs)
+		res.Output = appendOuts(buf, outs, reserved)
+		plan.lastOutput.Store(int64(len(res.Output)))
 		if cfg.Scratch != nil {
 			cfg.Scratch.output = res.Output
 		}

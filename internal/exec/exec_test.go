@@ -315,3 +315,57 @@ func TestStandingRoutesDeltasWithoutAllocating(t *testing.T) {
 		t.Errorf("routing one delta tuple allocated %.1f times, want 0", allocs)
 	}
 }
+
+// TestRunReservesGatherFromLastOutput: a re-run gathers into a buffer
+// reserved at the previous answer count (exact on unchanged data); a grown
+// result falls back to an exact allocation, and a result shrunk below half
+// its reservation does not pin it.
+func TestRunReservesGatherFromLastOutput(t *testing.T) {
+	keep := 8 // tuples each server emits, at most its fragment
+	plan := &PhysicalPlan{
+		Strategy: "test",
+		Virtual:  4,
+		Physical: 2,
+		Router:   modRouter(4),
+		Local: func(s *mpc.Server) []data.Tuple {
+			var out []data.Tuple
+			s.Fragment("S").Each(func(i int, tu data.Tuple) bool {
+				out = append(out, append(data.Tuple(nil), tu...))
+				return i+1 < keep
+			})
+			return out
+		},
+	}
+	db := testDB()
+	run := func(want int) []data.Tuple {
+		t.Helper()
+		res, err := Run(plan, db, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Output) != want {
+			t.Fatalf("output = %d tuples, want %d", len(res.Output), want)
+		}
+		return res.Output
+	}
+	run(8)
+	if out := run(8); cap(out) != 8 {
+		t.Errorf("re-run on unchanged data: cap %d, want the exact reservation 8", cap(out))
+	}
+	grown := data.NewRelation("S", 2, 16)
+	for i := int64(0); i < 16; i++ {
+		grown.Add(i, (i+1)%16)
+	}
+	db.Put(grown)
+	if out := run(16); cap(out) != 16 {
+		t.Errorf("grown result: cap %d, want exact 16", cap(out))
+	}
+	keep = 3
+	if out := run(12); cap(out) != 16 {
+		t.Errorf("slightly shrunk result: cap %d, want the reservation 16", cap(out))
+	}
+	keep = 1
+	if out := run(4); cap(out) != 4 {
+		t.Errorf("result shrunk below half its reservation: cap %d, want exact 4", cap(out))
+	}
+}

@@ -216,6 +216,9 @@ func RunPipeline(pl *Pipeline, db *data.Database, cfg Config) (PipelineResult, e
 
 	last := &pl.Stages[len(pl.Stages)-1]
 	out := data.NewRelation(last.OutName, last.OutArity, last.OutDomain)
+	// The last round's intermediate count is the gathered size: reserve it
+	// once instead of re-growing the columns per server.
+	out.Grow(res.Rounds[len(res.Rounds)-1].Intermediate)
 	for _, sv := range cluster.Servers {
 		if f := sv.Received[last.OutName]; f != nil && f.Size() > 0 {
 			out.AppendColumns(f.Columns(), f.Size())

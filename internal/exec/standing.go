@@ -149,7 +149,7 @@ func NewStanding(plan *PhysicalPlan, q *query.Query, db *data.Database, cfg Conf
 		pool.Put(cluster)
 		return nil, err
 	}
-	out := appendOuts(nil, outs)
+	out := appendOuts(nil, outs, false)
 	for _, t := range out {
 		s.counted.Add(t, 1)
 		s.derivations++

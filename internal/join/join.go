@@ -4,8 +4,11 @@
 // nested-loop reference implementation used to verify every distributed
 // algorithm's output in tests.
 //
-// The MPC model gives servers unlimited computational power, so only
-// correctness matters here; the hash join keeps experiments tractable.
+// The MPC model gives servers unlimited computational power, but on skewed
+// inputs a server's output is the product of heavy-hitter degrees, and
+// materializing it is where an execution's wall clock goes. JoinLimit
+// therefore sizes every step's output exactly (count, allocate once, fill)
+// instead of allocating one slice per answer.
 package join
 
 import (
@@ -28,6 +31,13 @@ func Join(q *query.Query, rels map[string]*data.Relation) []data.Tuple {
 // answers. limit ≤ 0 means unlimited. Lower-bound computations use this —
 // a bound summed over a subset of the support is still a valid lower
 // bound.
+//
+// Each atom step sizes its output exactly: a count pass probes every
+// binding once and keeps its index bucket, then one header slice and one
+// flat value arena of the counted size are allocated and filled. The
+// returned tuples therefore share one backing array; each is capped
+// (len == cap == q.NumVars()), so appending to one reallocates it rather
+// than overwriting its neighbour.
 func JoinLimit(q *query.Query, rels map[string]*data.Relation, limit int) []data.Tuple {
 	k := q.NumVars()
 	order := planOrder(q, rels)
@@ -69,29 +79,46 @@ func JoinLimit(q *query.Query, rels map[string]*data.Relation, limit int) []data
 			ks := data.KeyOf(key)
 			index[ks] = append(index[ks], i)
 		}
-		cols := rel.Columns()
-		var next []data.Tuple
+		// Count pass: probe each binding once, keeping its bucket (cut at
+		// the limit, which also ends the pass).
+		buckets := make([][]int, 0, len(bindings))
+		n := 0
 		probe := make(data.Tuple, len(joinVar))
-	extend:
 		for _, b := range bindings {
 			for a, v := range joinVar {
 				probe[a] = b[v]
 			}
-			for _, ti := range index[data.KeyOf(probe)] {
-				nb := append(data.Tuple(nil), b...)
+			bucket := index[data.KeyOf(probe)]
+			if limit > 0 && n+len(bucket) >= limit {
+				buckets = append(buckets, bucket[:limit-n])
+				n = limit
+				break
+			}
+			buckets = append(buckets, bucket)
+			n += len(bucket)
+		}
+		if n == 0 {
+			return nil
+		}
+		// Fill pass: one header slice and one value arena, in the same
+		// binding-major order as the count.
+		next := make([]data.Tuple, n)
+		arena := make([]int64, n*k)
+		cols := rel.Columns()
+		i := 0
+		for bi, bucket := range buckets {
+			b := bindings[bi]
+			for _, ti := range bucket {
+				nb := arena[i*k : (i+1)*k : (i+1)*k]
+				copy(nb, b)
 				for pos, v := range atom.Vars {
 					nb[v] = cols[pos][ti]
 				}
-				next = append(next, nb)
-				if limit > 0 && len(next) >= limit {
-					break extend
-				}
+				next[i] = nb
+				i++
 			}
 		}
 		bindings = next
-		if len(bindings) == 0 {
-			return nil
-		}
 		for _, v := range atom.Vars {
 			bound[v] = true
 		}

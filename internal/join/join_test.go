@@ -292,3 +292,219 @@ func TestJoinChainCountProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// joinLimitReference is the one-slice-per-answer JoinLimit that predates
+// the exact-size kernel, kept verbatim as the oracle for answers, answer
+// order and truncation.
+func joinLimitReference(q *query.Query, rels map[string]*data.Relation, limit int) []data.Tuple {
+	k := q.NumVars()
+	order := planOrder(q, rels)
+
+	// bindings holds partial assignments to the k query variables; bound
+	// tracks which variables are assigned (same for every binding at a
+	// given step).
+	bindings := []data.Tuple{make(data.Tuple, k)}
+	bound := make([]bool, k)
+
+	for _, j := range order {
+		atom := q.Atoms[j]
+		rel := rels[atom.Name]
+		if rel == nil || rel.Size() == 0 {
+			return nil
+		}
+		// Split atom variables into already-bound (join positions) and new.
+		var joinPos []int // positions within the atom
+		var joinVar []int // corresponding query variables
+		for pos, v := range atom.Vars {
+			if bound[v] {
+				joinPos = append(joinPos, pos)
+				joinVar = append(joinVar, v)
+			}
+		}
+		// Build the hash index from the key columns only — the payload
+		// columns are not touched until a binding actually extends.
+		m := rel.Size()
+		keyCols := make([][]int64, len(joinPos))
+		for a, pos := range joinPos {
+			keyCols[a] = rel.Column(pos)
+		}
+		index := make(map[data.Key][]int, m)
+		key := make(data.Tuple, len(joinPos))
+		for i := 0; i < m; i++ {
+			for a, col := range keyCols {
+				key[a] = col[i]
+			}
+			ks := data.KeyOf(key)
+			index[ks] = append(index[ks], i)
+		}
+		cols := rel.Columns()
+		var next []data.Tuple
+		probe := make(data.Tuple, len(joinVar))
+	extend:
+		for _, b := range bindings {
+			for a, v := range joinVar {
+				probe[a] = b[v]
+			}
+			for _, ti := range index[data.KeyOf(probe)] {
+				nb := append(data.Tuple(nil), b...)
+				for pos, v := range atom.Vars {
+					nb[v] = cols[pos][ti]
+				}
+				next = append(next, nb)
+				if limit > 0 && len(next) >= limit {
+					break extend
+				}
+			}
+		}
+		bindings = next
+		if len(bindings) == 0 {
+			return nil
+		}
+		for _, v := range atom.Vars {
+			bound[v] = true
+		}
+	}
+	return bindings
+}
+
+// skewedRels draws a duplicate-free instance of q: each relation holds m
+// rows over a small domain with the first column Zipf-skewed, so buckets
+// are uneven and multi-atom plans carry intermediates larger than the
+// final answer set.
+func skewedRels(q *query.Query, rng *rand.Rand, m int, domain int64) map[string]*data.Relation {
+	rels := make(map[string]*data.Relation)
+	zipf := rand.NewZipf(rng, 1.5, 1, uint64(domain-1))
+	for _, a := range q.Atoms {
+		r := data.NewRelation(a.Name, a.Arity(), domain)
+		seen := make(map[data.Key]bool)
+		for tries := 0; r.Size() < m && tries < 20*m; tries++ {
+			tu := make(data.Tuple, a.Arity())
+			tu[0] = int64(zipf.Uint64())
+			for j := 1; j < len(tu); j++ {
+				tu[j] = rng.Int63n(domain)
+			}
+			if k := data.KeyOf(tu); !seen[k] {
+				seen[k] = true
+				r.Add(tu...)
+			}
+		}
+		rels[a.Name] = r
+	}
+	return rels
+}
+
+func equalTupleLists(a, b []data.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestJoinLimitMatchesReference pins the exact-size kernel to the
+// reference: same answers, same order, same truncation, for limits around
+// the answer count — including limits that cut an intermediate step, where
+// the truncated output is shorter than the limit.
+func TestJoinLimitMatchesReference(t *testing.T) {
+	queries := []*query.Query{query.Join2(), query.Triangle(), query.Path(3)}
+	rng := rand.New(rand.NewSource(13))
+	intermediateCuts := 0
+	for _, q := range queries {
+		for trial := 0; trial < 6; trial++ {
+			rels := skewedRels(q, rng, 40+rng.Intn(60), 8+int64(rng.Intn(8)))
+			answers := len(joinLimitReference(q, rels, 0))
+			for _, limit := range []int{0, 1, 7, answers - 1, answers, answers + 5} {
+				want := joinLimitReference(q, rels, limit)
+				got := JoinLimit(q, rels, limit)
+				if !equalTupleLists(got, want) {
+					t.Fatalf("%s trial %d limit %d: JoinLimit (%d tuples) differs from reference (%d tuples)",
+						q.Name, trial, limit, len(got), len(want))
+				}
+				if limit > 0 && len(want) < limit && len(want) < answers {
+					intermediateCuts++
+				}
+			}
+		}
+	}
+	if intermediateCuts == 0 {
+		t.Fatal("no case truncated an intermediate step; the instances do not exercise it")
+	}
+}
+
+// TestJoinLimitTuplesDoNotAlias: the answers share one arena, but each is
+// capped at the query's arity, so growing or writing one tuple never
+// reaches another.
+func TestJoinLimitTuplesDoNotAlias(t *testing.T) {
+	q := query.Triangle()
+	rels := skewedRels(q, rand.New(rand.NewSource(5)), 80, 10)
+	out := JoinLimit(q, rels, 0)
+	if len(out) < 3 {
+		t.Fatalf("instance too small: %d answers", len(out))
+	}
+	k := q.NumVars()
+	before := make([]data.Tuple, len(out))
+	for i, tu := range out {
+		if len(tu) != k || cap(tu) != k {
+			t.Fatalf("tuple %d: len %d cap %d, want both %d", i, len(tu), cap(tu), k)
+		}
+		before[i] = append(data.Tuple(nil), tu...)
+	}
+	grown := append(out[0], -1)
+	grown[0] = -2
+	for j := range out[1] {
+		out[1][j] = -3
+	}
+	for i := 2; i < len(out); i++ {
+		if !equalTupleLists(out[i:i+1], before[i:i+1]) {
+			t.Fatalf("tuple %d changed to %v (was %v) by writes to other tuples", i, out[i], before[i])
+		}
+	}
+	if !equalTupleLists(out[:1], before[:1]) {
+		t.Fatalf("appending to tuple 0 wrote through it: %v, was %v", out[0], before[0])
+	}
+}
+
+// heavyJoin2 is Join2 with every row of S1 and S2 on z=0: side×side
+// answers from one heavy bucket, the join-product-skew shape.
+func heavyJoin2(side int) map[string]*data.Relation {
+	s1 := data.NewRelation("S1", 2, int64(side))
+	s2 := data.NewRelation("S2", 2, int64(side))
+	for i := 0; i < side; i++ {
+		s1.Add(int64(i), 0)
+		s2.Add(int64(i), 0)
+	}
+	return map[string]*data.Relation{"S1": s1, "S2": s2}
+}
+
+// TestJoinAllocsIndependentOfOutput: 160k answers cost a bounded number of
+// allocations (index buckets, one header slice and one arena per step),
+// not one per answer.
+func TestJoinAllocsIndependentOfOutput(t *testing.T) {
+	q := query.Join2()
+	rels := heavyJoin2(400)
+	if n := len(JoinLimit(q, rels, 0)); n != 160000 {
+		t.Fatalf("answers = %d, want 160000", n)
+	}
+	allocs := testing.AllocsPerRun(3, func() { JoinLimit(q, rels, 0) })
+	if allocs > 64 {
+		t.Fatalf("JoinLimit allocated %.0f times for 160000 answers, want ≤ 64", allocs)
+	}
+}
+
+func BenchmarkJoinHeavyProduct(b *testing.B) {
+	q := query.Join2()
+	rels := heavyJoin2(400)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		JoinLimit(q, rels, 0)
+	}
+}

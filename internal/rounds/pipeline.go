@@ -367,7 +367,9 @@ func mergeBaseRels(left, right *input) map[string]*data.Relation {
 
 // localJoin builds a stage's local computation: index the right fragment by
 // its key columns, probe with the left key columns, and append matches to
-// the output fragment column-wise.
+// the output fragment column-wise. A count pass keeps each left row's
+// bucket, so the output columns are reserved at their exact size before the
+// fill pass appends.
 func localJoin(st Step, leftKey, rightKey, rightPosOf []int, outArity int, domain int64) func(s *mpc.Server) *data.Relation {
 	leftName, rightName, outName := st.Left, st.Right, st.Output
 	return func(s *mpc.Server) *data.Relation {
@@ -391,13 +393,23 @@ func localJoin(st Step, leftKey, rightKey, rightPosOf []int, outArity int, domai
 		lCols, rCols := lf.Columns(), rf.Columns()
 		lArity := lf.Arity
 		lkbuf := make(data.Tuple, len(leftKey))
-		row := make(data.Tuple, outArity)
-		out := data.NewRelation(outName, outArity, domain)
-		for li := 0; li < lf.Size(); li++ {
+		buckets := make([][]int, lf.Size())
+		n := 0
+		for li := range buckets {
 			for a, pos := range leftKey {
 				lkbuf[a] = lCols[pos][li]
 			}
-			for _, ri := range index[data.KeyOf(lkbuf)] {
+			buckets[li] = index[data.KeyOf(lkbuf)]
+			n += len(buckets[li])
+		}
+		if n == 0 {
+			return nil
+		}
+		out := data.NewRelation(outName, outArity, domain)
+		out.Grow(n)
+		row := make(data.Tuple, outArity)
+		for li, bucket := range buckets {
+			for _, ri := range bucket {
 				for a := 0; a < lArity; a++ {
 					row[a] = lCols[a][li]
 				}
@@ -406,9 +418,6 @@ func localJoin(st Step, leftKey, rightKey, rightPosOf []int, outArity int, domai
 				}
 				out.Add(row...)
 			}
-		}
-		if out.Size() == 0 {
-			return nil
 		}
 		return out
 	}
