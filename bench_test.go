@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -127,32 +128,49 @@ func BenchmarkRouterDestinationsAt(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanCache measures Engine.Execute on a skewed two-relation
-// join, with planning amortized by the plan cache (hit) versus replanned
-// every call (miss).
+// benchSession opens a session for p servers, closed when b ends.
+func benchSession(b *testing.B, p int, seed uint64) *Session {
+	b.Helper()
+	s, err := Open(Config{P: p, Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	return s
+}
+
+// benchExec runs one Session.Exec, failing b on error.
+func benchExec(b *testing.B, s *Session, q *Query, db *Database, opts ...ExecOption) {
+	if _, err := s.Exec(context.Background(), q, db, opts...); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkPlanCache measures Session.Exec on a skewed two-relation join,
+// with planning amortized by the plan cache (hit) versus replanned every
+// call (miss).
 func BenchmarkPlanCache(b *testing.B) {
 	q := query.Join2()
 	db := NewDatabase()
 	db.Put(workload.Zipf("S1", 2000, 1<<20, 1, 1.6, 300, 1))
 	db.Put(workload.Zipf("S2", 2000, 1<<20, 1, 1.6, 300, 2))
 	b.Run("hit", func(b *testing.B) {
-		e := NewEngine(64, 3)
-		e.Execute(q, db) // prime the cache
+		s := benchSession(b, 64, 3)
+		benchExec(b, s, q, db) // prime the cache
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Execute(q, db)
+			benchExec(b, s, q, db)
 		}
-		if e.CacheStats().Hits == 0 {
+		if s.CacheStats().Hits == 0 {
 			b.Fatal("no cache hits")
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
-		e := NewEngine(64, 3)
-		e.DisablePlanCache = true
+		s := benchSession(b, 64, 3)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e.Execute(q, db)
+			benchExec(b, s, q, db, WithoutCache())
 		}
 	})
 }
@@ -308,14 +326,13 @@ func BenchmarkMultiRoundEndToEnd(b *testing.B) {
 		for j, name := range []string{"S1", "S2", "S3"} {
 			db.Put(workload.Matching(name, 2, 5000, 1<<20, int64(j+1)))
 		}
-		force := StrategyMultiRound
-		e := NewEngine(64, 3)
-		e.ForceStrategy = &force
-		e.Execute(q, db) // prime the cache
+		s := benchSession(b, 64, 3)
+		force := WithStrategy(StrategyMultiRound)
+		benchExec(b, s, q, db, force) // prime the cache
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Execute(q, db)
+			benchExec(b, s, q, db, force)
 		}
 	})
 }

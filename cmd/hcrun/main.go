@@ -11,11 +11,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
-	"repro/internal/core"
+	"repro"
 	"repro/internal/data"
 	"repro/internal/query"
 	"repro/internal/workload"
@@ -52,12 +53,29 @@ func main() {
 		db.Put(rel)
 	}
 
-	engine := core.NewEngine(*pFlag, *seedFlag)
+	sess, err := repro.Open(repro.Config{P: *pFlag, Seed: *seedFlag})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hcrun: %v\n", err)
+		os.Exit(2)
+	}
+	defer sess.Close()
 	if *explainFlag {
-		fmt.Print(engine.Explain(q, db))
+		var out string
+		if out, err = sess.Explain(q, db); err != nil {
+			fmt.Fprintf(os.Stderr, "hcrun: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Print(out)
 		return
 	}
-	plan := engine.PlanQuery(q, db)
+	var res repro.Result
+	for i := 0; i < max(*repeatFlag, 1); i++ {
+		if res, err = sess.Exec(context.Background(), q, db); err != nil {
+			fmt.Fprintf(os.Stderr, "hcrun: %v\n", err)
+			os.Exit(1)
+		}
+	}
+	plan := res.Plan
 	fmt.Printf("query:        %s\n", q)
 	fmt.Printf("servers:      p = %d\n", *pFlag)
 	fmt.Printf("input:        %d relations × %d tuples (%d bits total)\n",
@@ -65,11 +83,6 @@ func main() {
 	fmt.Printf("plan:         %s\n", plan.Strategy)
 	fmt.Printf("reason:       %s\n", plan.Reason)
 	fmt.Printf("lower bound:  %.0f bits per server (Thm 1.2)\n\n", plan.LowerBoundBits)
-
-	res := engine.Execute(q, db)
-	for i := 1; i < *repeatFlag; i++ {
-		res = engine.Execute(q, db)
-	}
 	fmt.Printf("answers:      %d tuples\n", len(res.Output))
 	fmt.Printf("max load:     %d bits per (virtual) server\n", res.MaxLoadBits)
 	if res.PredictedBits > 0 {
@@ -78,11 +91,11 @@ func main() {
 	if plan.LowerBoundBits > 0 {
 		fmt.Printf("load / lower: %.2f×\n", float64(res.MaxLoadBits)/plan.LowerBoundBits)
 	}
-	if len(res.Plan.Shares) > 0 {
-		fmt.Printf("shares:       %v\n", res.Plan.Shares)
+	if len(plan.Shares) > 0 {
+		fmt.Printf("shares:       %v\n", plan.Shares)
 	}
 	if *repeatFlag > 1 {
-		cs := engine.CacheStats()
+		cs := sess.CacheStats()
 		fmt.Printf("plan cache:   %d hits / %d misses / %d evictions over %d executions\n",
 			cs.Hits, cs.Misses, cs.Evictions, *repeatFlag)
 	}

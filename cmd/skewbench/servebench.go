@@ -16,7 +16,7 @@ import (
 // ServeBench is the committed BENCH_serve.json baseline for the serving
 // hit path: repro.Session.Exec latency on a plan-cache hit as the database
 // grows with tuples the query never touches. Before incremental
-// fingerprints, every Execute — hit or miss — rescanned the whole database
+// fingerprints, every execution — hit or miss — rescanned the whole database
 // to key the cache (FingerprintRescanNs, which grows linearly) and routed
 // every relation in it; after, the hit path reads maintained per-relation
 // content sums and routes only the query's relations, so ExecHitNs stays
@@ -39,7 +39,7 @@ type ServeRow struct {
 	// FingerprintNs is the maintained (incremental) database fingerprint.
 	FingerprintNs float64 `json:"fingerprint_ns"`
 	// FingerprintRescanNs is the full-scan fingerprint the old hit path
-	// recomputed per Execute.
+	// recomputed per execution.
 	FingerprintRescanNs float64 `json:"fingerprint_rescan_ns"`
 	// OldHitPathNs is ExecHitNs + FingerprintRescanNs: the pre-incremental
 	// hit-path cost on this database.

@@ -6,7 +6,7 @@
 //
 // The package is a facade over the internal implementation:
 //
-//   - Session: the serving-grade entry point. Open(Config) validates an
+//   - Session: the entry point. Open(Config) validates an
 //     immutable configuration; Exec(ctx, q, db, opts...) evaluates with
 //     per-call functional options (WithStrategy, WithMultiRound,
 //     WithoutCache, WithP), honors context cancellation both between
@@ -42,14 +42,13 @@
 //     rounds 1..k-1 — and a failed compute phase re-runs only the failed
 //     servers. Config.Retry bounds the recovery (a shared attempt budget
 //     with capped, jittered exponential backoff; Result.Recovery reports
-//     what a run consumed, with the legacy Result.FaultRetries kept equal
-//     to Recovery.Attempts); faults that outlive the budget surface as
+//     what a run consumed); faults that outlive the budget surface as
 //     ErrTornRound or ErrComputeFailed. Config.BreakerThreshold adds a
 //     circuit breaker on top: a persistently faulting cluster sheds calls
 //     fast with ErrCircuitOpen while one probe at a time tests for
 //     recovery (Session.HealthStats).
 //
-//     Serving sessions also adapt the physical layout to skew: after
+//     Sessions also adapt the physical layout to skew: after
 //     planning, relations the chosen plan routes by a single heavy
 //     attribute are given a heavy-partition column layout (light rows
 //     packed first, then one contiguous run per heavy value), rebuilt
@@ -60,14 +59,12 @@
 //     and Config.DisableAutoPartition turns the maintenance off;
 //     CacheStats.Repartitions counts rebuilds.
 //
-//   - Engine (internal/core): plans and executes a query on p simulated
-//     servers, choosing between plain HyperCube (§3), the specialized skew
-//     join (§4.1), and the general bin-combination algorithm (§4.2) based
-//     on heavy-hitter statistics. Every strategy lowers to a PhysicalPlan
-//     run by the unified executor (internal/exec), and plans are cached
-//     across Execute calls on unchanged inputs. NewEngine is the
-//     pre-Session API (panics on invalid input, mutable config fields);
-//     Session wraps it for serving.
+//   - Engine (internal/core, behind Session): plans and executes a query
+//     on p simulated servers, choosing between plain HyperCube (§3), the
+//     specialized skew join (§4.1), and the general bin-combination
+//     algorithm (§4.2) based on heavy-hitter statistics. Every strategy
+//     lowers to a PhysicalPlan run by the unified executor
+//     (internal/exec), and plans are cached per (query, database, p).
 //
 //   - Lower bounds (internal/bounds): the matching communication lower
 //     bounds of Theorems 3.5 and 4.7, in bits.

@@ -110,8 +110,8 @@ type HealthStats struct {
 }
 
 // HealthStats reports the engine's circuit-breaker state. Engines without
-// a breaker (Config.BreakerThreshold zero, or pre-Session construction)
-// report State "disabled" and zero counters.
+// a breaker (Config.BreakerThreshold zero) report State "disabled" and
+// zero counters.
 func (e *Engine) HealthStats() HealthStats {
 	b := e.breaker
 	if b == nil {

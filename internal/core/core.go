@@ -65,9 +65,9 @@ func (s Strategy) String() string {
 // fingerprints cannot grow the engine without bound.
 const DefaultPlanCacheCapacity = 64
 
-// Config is the immutable engine configuration: everything the pre-Session
-// API exposed as mutable Engine fields, validated once at construction so
-// a served engine never reads a field another goroutine might be writing.
+// Config is the immutable engine configuration, validated once at
+// construction so a served engine never reads a field another goroutine
+// might be writing.
 type Config struct {
 	// P is the physical server count (≥ 2).
 	P int
@@ -80,12 +80,11 @@ type Config struct {
 	// when its predicted cost undercuts the chosen one-round strategy's,
 	// the engine plans, caches, and executes the pipeline instead.
 	ConsiderMultiRound bool
-	// DriftFactor enables adaptive re-planning for serving-mode executions
-	// (ExecOptions.Serving): when a run's realized max load exceeds
-	// DriftFactor × the plan's predicted bits and the database content has
-	// changed since the plan was built, the cached entry is marked stale
-	// and the next execution replans against current statistics
-	// (Result.Replanned reports it). 0 disables; values in (0, 1) are
+	// DriftFactor enables adaptive re-planning: when a run's realized max
+	// load exceeds DriftFactor × the plan's predicted bits and the database
+	// content has changed since the plan was built, the cached entry is
+	// marked stale and the next execution replans against current
+	// statistics (Result.Replanned reports it). 0 disables; values in (0, 1) are
 	// rejected — they would demand realized loads below the prediction.
 	DriftFactor float64
 	// ClusterPoolDepth bounds the engine's cluster pool per size bucket;
@@ -122,7 +121,7 @@ type Config struct {
 	// breaker.
 	BreakerThreshold int
 	// DisableAutoPartition turns off the lazy heavy-partition layout
-	// maintenance serving executions drive by default: after planning, the
+	// maintenance executions drive by default: after planning, the
 	// engine calls data.Database.EnsurePartitioned for every (relation,
 	// attribute) the plan's router can span-route, so heavy runs ship
 	// wholesale on subsequent executions. Rebuilds are counted in
@@ -130,48 +129,20 @@ type Config struct {
 	DisableAutoPartition bool
 }
 
-// Engine evaluates conjunctive queries in one communication round on p
-// simulated servers.
+// Engine evaluates conjunctive queries on p simulated servers. Build one
+// with New; ExecuteContext, Standing and Explain are its entry points.
 //
-// Execute caches physical plans keyed by (query canonical form, database
-// fingerprint, p, forced strategy): repeated calls on unchanged inputs —
-// the heavy repeated-traffic case — skip statistics collection, LP
-// solving, and heavy-hitter planning. The fingerprint itself is maintained
-// incrementally by the relations (data.Relation.ContentSum), so the
-// cache-hit path costs O(relations), not a database rescan. The cache is a
-// bounded LRU (DefaultPlanCacheCapacity entries unless the capacity is
-// overridden); least-recently-used plans are evicted and counted in
-// CacheStats. Engines are safe for concurrent use.
-//
-// The exported fields exist for pre-Session compatibility: they are read
-// at the start of each Execute, so mutating them while other goroutines
-// execute is a data race. New code should build engines with New(Config) —
-// engines so built ignore the mutable fields entirely — and pass per-call
-// overrides through ExecuteContext's ExecOptions (the repro.Session facade
-// does both).
+// ExecuteContext caches physical plans keyed by (query canonical form,
+// database identity and schema, p, options that change plan selection):
+// repeated calls — the heavy repeated-traffic case — skip statistics
+// collection, LP solving, and heavy-hitter planning, and content deltas
+// (Database.Apply) keep the cached plan, with drift detection deciding
+// when to replan (see planKey). The cache is a bounded LRU
+// (Config.PlanCacheCapacity, DefaultPlanCacheCapacity by default);
+// least-recently-used plans are evicted and counted in CacheStats.
+// Engines are safe for concurrent use.
 type Engine struct {
-	P    int
-	Seed uint64
-	// ForceStrategy overrides plan selection when non-nil. Pre-Session
-	// compatibility; prefer ExecOptions.Strategy.
-	ForceStrategy *Strategy
-	// DisablePlanCache replans on every Execute call. Pre-Session
-	// compatibility; prefer ExecOptions.NoCache.
-	DisablePlanCache bool
-	// PlanCacheCapacity bounds the number of cached plans; 0 means
-	// DefaultPlanCacheCapacity, negative means unbounded. Pre-Session
-	// compatibility: it is latched the first time the engine needs it, so
-	// set it before the first Execute; engines built with New(Config) use
-	// Config.PlanCacheCapacity instead.
-	PlanCacheCapacity int
-	// ConsiderMultiRound adds the multi-round pipeline to plan selection
-	// (see Config.ConsiderMultiRound). Pre-Session compatibility; prefer
-	// Config or ExecOptions.MultiRound.
-	ConsiderMultiRound bool
-
-	// conf is the immutable configuration of engines built with New; nil
-	// for engines built with NewEngine, which read the exported fields.
-	conf *Config
+	conf Config
 
 	mu        sync.Mutex
 	cache     map[planKey]*list.Element // key → element whose Value is *cacheEntry
@@ -180,14 +151,13 @@ type Engine struct {
 	misses    uint64
 	evictions uint64
 	replans   uint64
-	// capacity is the latched effective cache bound (see capacityLocked).
-	capacity    int
-	capResolved bool
-	// scratchPool recycles exec.Scratch buffers across Execute calls so
+	// capacity is the effective cache bound (≤ 0 means unbounded).
+	capacity int
+	// scratchPool recycles exec.Scratch buffers across executions so
 	// repeated executions of cached plans don't allocate load-accounting
 	// slices.
 	scratchPool sync.Pool
-	// clusters recycles mpc clusters across Execute calls (size-bucketed):
+	// clusters recycles mpc clusters across executions (size-bucketed):
 	// cached-plan serving draws a warm cluster — servers and Received maps
 	// retained — instead of reallocating Θ(Virtual) of both per execution.
 	clusters exec.ClusterPool
@@ -206,7 +176,7 @@ type Engine struct {
 	replanClosed bool
 	replanWG     sync.WaitGroup
 	bgReplans    uint64
-	// repartitions counts heavy-partition layout rebuilds driven by serving
+	// repartitions counts heavy-partition layout rebuilds driven by
 	// executions (see Config.DisableAutoPartition). Guarded by mu.
 	repartitions uint64
 	// breaker is the per-engine circuit breaker over cluster-fault
@@ -217,8 +187,9 @@ type Engine struct {
 // cacheEntry is one LRU node: the key (so eviction can unmap it) plus the
 // cached plan bundle and its staleness mark (set by drift detection). q, db,
 // and s capture the inputs the entry was planned from so the background
-// replan worker can rebuild it off the request path (db may be a snapshot;
-// the worker re-snapshots it for fresh statistics).
+// replan worker can rebuild it off the request path (db is the snapshot
+// epoch the entry was planned from; the worker re-snapshots it for fresh
+// statistics).
 type cacheEntry struct {
 	key   planKey
 	cp    *cachedPlan
@@ -232,25 +203,21 @@ type cacheEntry struct {
 // the query (names, variable order, atom order), p/seed pin the layout and
 // hash family, and forced pins the strategy override in effect.
 //
-// Two keying modes coexist. Content mode (serving=false, the pre-Session
-// Execute path) sets fp = stats.Fingerprint(db): any content change is a
-// different key, so a cached plan is provably built from the statistics of
-// the database it runs on. Serving mode (serving=true) sets fp = the
-// database's identity and schema = its schema fingerprint: content deltas
-// (Database.Apply) keep the key — a physical plan routes by column
-// position and stays *correct* for any content, merely load-suboptimal —
-// and drift detection decides when suboptimal has become bad enough to
-// replan. A schema change (relation replaced with a different shape) does
-// change the key, because positional routing would be wrong.
+// db is the database's identity and schema its schema fingerprint, not its
+// content: content deltas (Database.Apply) keep the key — a physical plan
+// routes by column position and stays *correct* for any content, merely
+// load-suboptimal — and drift detection decides when suboptimal has become
+// bad enough to replan. A schema change (relation replaced with a
+// different shape) does change the key, because positional routing would
+// be wrong.
 type planKey struct {
 	query   string
-	fp      uint64
+	db      uint64
 	schema  uint64
 	p       int
 	seed    uint64
 	forced  Strategy // -1 when no override
 	mrAware bool     // multi-round consideration changes plan selection
-	serving bool
 }
 
 // cachedPlan holds the logical plan plus the strategy-specific physical
@@ -288,11 +255,11 @@ func (cp *cachedPlan) forEachPartitionHint(fn func(exec.PartitionHint)) {
 	}
 }
 
-// ensurePartitions drives lazy skew-adaptive layout maintenance for a
-// serving execution: every hinted relation gets a current heavy-partition
+// ensurePartitions drives lazy skew-adaptive layout maintenance for an
+// execution: every hinted relation gets a current heavy-partition
 // index (data.Database.EnsurePartitioned) so span routing kicks in on the
-// next epoch's snapshots. db may be a snapshot — the ensure delegates to
-// the mutable master behind it.
+// next epoch's snapshots. db is the execution's snapshot — the ensure
+// delegates to the mutable master behind it.
 func (e *Engine) ensurePartitions(cp *cachedPlan, db *data.Database, p int) {
 	rebuilt := 0
 	cp.forEachPartitionHint(func(h exec.PartitionHint) {
@@ -325,7 +292,7 @@ type Plan struct {
 	Rounds int
 }
 
-// Result is the outcome of Execute.
+// Result is the outcome of ExecuteContext.
 type Result struct {
 	Plan          Plan
 	Output        []data.Tuple
@@ -335,19 +302,13 @@ type Result struct {
 	// Replanned reports that this execution rebuilt a cached plan that
 	// drift detection had marked stale: the statistics the old plan froze
 	// had diverged from realized loads. (With Config.BackgroundReplan the
-	// rebuild happens off the request path, so serving executions never
-	// report it.)
+	// rebuild happens off the request path, so executions never report
+	// it.)
 	Replanned bool
 	// Recovery reports the fault recovery this execution needed: retry
 	// attempts consumed, rounds replayed in place, servers recomputed, and
 	// backoff waits taken. The zero value means a clean run.
 	Recovery Recovery
-	// FaultRetries is the legacy recovery counter, kept equal to
-	// Recovery.Attempts: before round-granular recovery existed it counted
-	// whole-execution retries (always 0 or 1); it now counts every
-	// recovery attempt the execution consumed, so values above 1 are
-	// possible. New code should read Recovery.
-	FaultRetries int
 }
 
 // Retry bounds per-execution fault recovery; see exec.Retry.
@@ -363,19 +324,8 @@ const (
 	DefaultRetryMaxBackoff  = exec.DefaultRetryMaxBackoff
 )
 
-// NewEngine returns an engine for p servers in pre-Session compatibility
-// mode: configuration is the exported mutable fields, to be set before the
-// engine is shared. New(Config) is the serving-grade constructor.
-func NewEngine(p int, seed uint64) *Engine {
-	if p < 2 {
-		panic("core: need p >= 2")
-	}
-	return &Engine{P: p, Seed: seed}
-}
-
 // New returns an engine built from an immutable Config, or an error for
-// invalid configuration (rather than the pre-Session constructor's panic).
-// Engines built here never read the exported compatibility fields.
+// invalid configuration.
 func New(cfg Config) (*Engine, error) {
 	if cfg.P < 2 {
 		return nil, fmt.Errorf("core: need p >= 2, got %d", cfg.P)
@@ -392,12 +342,13 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.BreakerThreshold < 0 {
 		return nil, fmt.Errorf("core: negative breaker threshold %d", cfg.BreakerThreshold)
 	}
-	e := &Engine{P: cfg.P, Seed: cfg.Seed, conf: &cfg}
+	e := &Engine{conf: cfg, capacity: cfg.PlanCacheCapacity}
+	if e.capacity == 0 {
+		e.capacity = DefaultPlanCacheCapacity
+	}
 	if cfg.BreakerThreshold > 0 {
 		e.breaker = &breaker{threshold: cfg.BreakerThreshold}
 	}
-	e.capacity = effectiveCapacity(cfg.PlanCacheCapacity)
-	e.capResolved = true
 	e.clusters.Depth = cfg.ClusterPoolDepth
 	if cfg.BackgroundReplan {
 		e.replanCh = make(chan planKey, replanQueueDepth)
@@ -433,7 +384,14 @@ func (e *Engine) replanWorker() {
 		if q == nil || db == nil {
 			continue
 		}
-		cp := e.buildPlan(q, db.Snapshot(), s)
+		// db is the epoch the entry was planned from; Snapshot on it yields
+		// the master's current epoch. A schema change since (a dropped
+		// relation) already moved traffic to a new key: leave the entry.
+		snap := db.Snapshot()
+		if validate(q, snap, s.p) != nil {
+			continue
+		}
+		cp := e.buildPlan(q, snap, s)
 		e.mu.Lock()
 		if el, ok := e.cache[key]; ok {
 			if ent := el.Value.(*cacheEntry); ent.stale {
@@ -488,13 +446,6 @@ type ExecOptions struct {
 	NoCache bool
 	// P overrides the engine's server count when > 0.
 	P int
-	// Serving keys the plan cache by database identity + schema instead of
-	// content, so cached plans survive Database.Apply deltas; pair it with
-	// a DriftFactor so drifted plans get rebuilt. See planKey.
-	Serving bool
-	// DriftFactor overrides the engine's drift threshold when > 0 (only
-	// meaningful with Serving).
-	DriftFactor float64
 }
 
 // settings is the resolved effective configuration of one execution.
@@ -504,7 +455,6 @@ type settings struct {
 	forced        *Strategy
 	mr            bool
 	noCache       bool
-	serving       bool
 	drift         float64
 	residentChunk int
 	bgReplan      bool
@@ -513,74 +463,80 @@ type settings struct {
 	autoPartition bool
 }
 
-// settings resolves the engine configuration (immutable Config if present,
-// the pre-Session mutable fields otherwise) plus the per-call overrides.
+// settings resolves the engine configuration plus the per-call overrides.
+// Executions read immutable snapshot epochs, so the partition rebuilds
+// auto-partitioning drives on the master never race an in-flight round.
 func (e *Engine) settings(opts ExecOptions) settings {
-	s := settings{p: e.P, seed: e.Seed}
-	if e.conf != nil {
-		s.mr = e.conf.ConsiderMultiRound
-		s.drift = e.conf.DriftFactor
-		s.residentChunk = e.conf.ResidentChunkTuples
-		s.bgReplan = e.conf.BackgroundReplan
-		s.faults = e.conf.Faults
-		s.retry = e.conf.Retry
-	} else {
-		s.forced = e.ForceStrategy
-		s.mr = e.ConsiderMultiRound
-		s.noCache = e.DisablePlanCache
-	}
-	if opts.Strategy != nil {
-		s.forced = opts.Strategy
+	s := settings{
+		p:             e.conf.P,
+		seed:          e.conf.Seed,
+		forced:        opts.Strategy,
+		mr:            e.conf.ConsiderMultiRound,
+		noCache:       opts.NoCache,
+		drift:         e.conf.DriftFactor,
+		residentChunk: e.conf.ResidentChunkTuples,
+		bgReplan:      e.conf.BackgroundReplan,
+		faults:        e.conf.Faults,
+		retry:         e.conf.Retry,
+		autoPartition: !e.conf.DisableAutoPartition,
 	}
 	if opts.MultiRound != nil {
 		s.mr = *opts.MultiRound
 	}
-	if opts.NoCache {
-		s.noCache = true
-	}
 	if opts.P > 0 {
 		s.p = opts.P
 	}
-	s.serving = opts.Serving
-	if opts.DriftFactor > 0 {
-		s.drift = opts.DriftFactor
-	}
-	if !s.serving {
-		// Content-keyed entries can never drift: any content change is a
-		// new key already.
-		s.drift = 0
-	}
-	// Auto-partitioning is a serving-mode feature: serving executions read
-	// immutable snapshots, so the master rebuild behind the database lock
-	// never races an in-flight round. (A non-serving Execute reads its
-	// database directly and may run concurrently with another, so the
-	// engine must not mutate layouts there; such callers partition
-	// explicitly via data.Database.EnsurePartitioned.)
-	s.autoPartition = s.serving && (e.conf == nil || !e.conf.DisableAutoPartition)
 	return s
+}
+
+// validate checks what every entry point needs before planning: a usable
+// server count, a structurally valid query (wrapped in ErrInvalidQuery),
+// and every relation the query names present in db.
+func validate(q *query.Query, db *data.Database, p int) error {
+	if p < 2 {
+		return fmt.Errorf("core: need p >= 2, got %d", p)
+	}
+	if err := q.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidQuery, err)
+	}
+	for _, a := range q.Atoms {
+		if db.Get(a.Name) == nil {
+			return fmt.Errorf("core: database missing relation %s", a.Name)
+		}
+	}
+	return nil
+}
+
+// snapshot returns the immutable epoch an execution reads: db itself when
+// it already is one (re-snapshotting an epoch would jump to the master's
+// current epoch), a fresh snapshot of the master otherwise.
+func snapshot(db *data.Database) *data.Database {
+	if db.IsSnapshot() {
+		return db
+	}
+	return db.Snapshot()
 }
 
 // PlanQuery analyzes statistics and picks the algorithm, including the
 // multi-round cost comparison when ConsiderMultiRound is set. It builds
 // (and discards) the physical plan to obtain the strategy's cost
-// prediction; Execute's plan cache avoids the duplicate work on the hot
-// path.
-func (e *Engine) PlanQuery(q *query.Query, db *data.Database) Plan {
-	return e.buildPlan(q, db, e.settings(ExecOptions{})).plan
+// prediction, bypassing the plan cache.
+func (e *Engine) PlanQuery(q *query.Query, db *data.Database) (Plan, error) {
+	s := e.settings(ExecOptions{})
+	db = snapshot(db)
+	if err := validate(q, db, s.p); err != nil {
+		return Plan{}, err
+	}
+	return e.buildPlan(q, db, s).plan, nil
 }
 
-// logicalPlan runs the one-round strategy selection of §3/§4.
+// logicalPlan runs the one-round strategy selection of §3/§4. Callers have
+// validated q against db.
 func (e *Engine) logicalPlan(q *query.Query, db *data.Database, s settings) Plan {
-	if err := q.Validate(); err != nil {
-		panic(fmt.Sprintf("core: invalid query: %v", err))
-	}
 	dbStats := stats.CollectDB(db, s.p)
 	hasSkew := false
 	for _, a := range q.Atoms {
 		rs := dbStats.Relations[a.Name]
-		if rs == nil {
-			panic("core: database missing relation " + a.Name)
-		}
 		for _, f := range rs.ByAttrs {
 			if len(f.HeavyHitters(rs.Threshold)) > 0 {
 				hasSkew = true
@@ -606,50 +562,28 @@ func (e *Engine) logicalPlan(q *query.Query, db *data.Database, s settings) Plan
 	return plan
 }
 
-// Execute plans and runs the query through the unified executor, returning
-// answers and realized loads. Plans are cached: a repeat call with the
-// same query, database content, and p reuses the cached physical plan.
-// This is the pre-Session entry point: it panics on invalid input and
-// cannot be canceled; ExecuteContext is the serving-grade form.
-func (e *Engine) Execute(q *query.Query, db *data.Database) Result {
-	//skewlint:allow ctxflow — Execute is the documented uncancelable pre-Session entry point
-	res, err := e.ExecuteContext(context.Background(), q, db, ExecOptions{})
-	if err != nil {
-		// The pre-Session API surfaced invalid input as panics; keep that
-		// contract for existing callers. (A background context never
-		// cancels, so validation errors are the only kind possible here.)
-		panic(err.Error())
-	}
-	return res
-}
-
-// ExecuteContext plans and runs the query with per-call options, a
-// cancelable context, and errors instead of panics for invalid input. The
-// context is checked before planning, before the communication round, and
-// between the rounds of a multi-round pipeline; a canceled execution
-// returns ctx.Err().
+// ExecuteContext plans and runs the query through the unified executor
+// with per-call options and a cancelable context, returning answers and
+// realized loads, or an error for invalid input. The context is checked
+// before planning, before the communication round, and between the rounds
+// of a multi-round pipeline; a canceled execution returns ctx.Err().
 //
-// With opts.Serving set, the plan cache keys on database identity + schema
-// (cached plans survive Database.Apply deltas), and a configured drift
-// factor arms adaptive re-planning: an execution whose realized max load
-// exceeds driftFactor × the plan's prediction, on content that changed
-// since the plan was built, marks the entry stale; the next call replans
-// against current statistics and reports Result.Replanned.
+// The execution reads an immutable snapshot epoch: db itself when it is
+// one, the master's current epoch otherwise. Plans are cached by database
+// identity and schema (see planKey), so they survive Database.Apply
+// deltas, and a configured drift factor arms adaptive re-planning: an
+// execution whose realized max load exceeds DriftFactor × the plan's
+// prediction, on content that changed since the plan was built, marks the
+// entry stale; the next call replans against current statistics and
+// reports Result.Replanned.
 func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Database, opts ExecOptions) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	s := e.settings(opts)
-	if s.p < 2 {
-		return Result{}, fmt.Errorf("core: need p >= 2, got %d", s.p)
-	}
-	if err := q.Validate(); err != nil {
-		return Result{}, fmt.Errorf("%w: %w", ErrInvalidQuery, err)
-	}
-	for _, a := range q.Atoms {
-		if db.Get(a.Name) == nil {
-			return Result{}, fmt.Errorf("core: database missing relation %s", a.Name)
-		}
+	db = snapshot(db)
+	if err := validate(q, db, s.p); err != nil {
+		return Result{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -745,9 +679,8 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Query, db *data.Da
 		e.breaker.done(probe, breakerOK)
 	}
 	res.Recovery = rec
-	res.FaultRetries = rec.Attempts
 	// Result.Output escapes to the caller: the scratch must release the
-	// buffer it aliases, or the next Execute reusing this scratch would
+	// buffer it aliases, or the next execution reusing this scratch would
 	// overwrite answers the caller already holds.
 	if res.Output != nil {
 		sc.DetachOutput()
@@ -800,15 +733,9 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings) (*cached
 	if s.noCache {
 		return e.buildPlan(q, db, s), planKey{}, false
 	}
-	key := planKey{query: q.String(), p: s.p, seed: s.seed, forced: -1, mrAware: s.mr, serving: s.serving}
+	key := planKey{query: q.String(), db: db.ID(), schema: stats.SchemaFingerprint(db), p: s.p, seed: s.seed, forced: -1, mrAware: s.mr}
 	if s.forced != nil {
 		key.forced = *s.forced
-	}
-	if s.serving {
-		key.fp = db.ID()
-		key.schema = stats.SchemaFingerprint(db)
-	} else {
-		key.fp = stats.Fingerprint(db)
 	}
 	replanned := false
 	e.mu.Lock()
@@ -851,8 +778,7 @@ func (e *Engine) planFor(q *query.Query, db *data.Database, s settings) (*cached
 		e.cache = make(map[planKey]*list.Element)
 	}
 	e.cache[key] = e.lru.PushFront(&cacheEntry{key: key, cp: cp, q: q, db: db, s: s})
-	capacity := e.capacityLocked()
-	for capacity > 0 && e.lru.Len() > capacity {
+	for e.capacity > 0 && e.lru.Len() > e.capacity {
 		cold := e.lru.Back()
 		e.lru.Remove(cold)
 		delete(e.cache, cold.Value.(*cacheEntry).key)
@@ -912,36 +838,6 @@ func planMultiRound(q *query.Query, db *data.Database, s settings) *rounds.Pipel
 	return rounds.PlanPipeline(q, db, rounds.Config{P: s.p, Seed: s.seed, SkewAware: true})
 }
 
-// effectiveCapacity maps the configured capacity to the effective bound.
-func effectiveCapacity(configured int) int {
-	if configured == 0 {
-		return DefaultPlanCacheCapacity
-	}
-	return configured
-}
-
-// capacityLocked returns the effective cache capacity, latching the
-// pre-Session mutable field the first time an insert needs it so the
-// bound can never change mid-serving. Callers hold e.mu.
-func (e *Engine) capacityLocked() int {
-	if !e.capResolved {
-		e.capacity = effectiveCapacity(e.PlanCacheCapacity)
-		e.capResolved = true
-	}
-	return e.capacity
-}
-
-// capacityPeekLocked is capacityLocked without the latch: CacheStats must
-// report the effective bound without freezing a pre-Session engine's
-// PlanCacheCapacity before its documented set-before-first-Execute window
-// closes. Callers hold e.mu.
-func (e *Engine) capacityPeekLocked() int {
-	if e.capResolved {
-		return e.capacity
-	}
-	return effectiveCapacity(e.PlanCacheCapacity)
-}
-
 // CacheStats reports the plan cache counters and occupancy.
 type CacheStats struct {
 	Hits      uint64
@@ -952,7 +848,7 @@ type CacheStats struct {
 	// were rebuilt off the request path by the background worker.
 	Replans           uint64
 	BackgroundReplans uint64
-	// Repartitions counts heavy-partition layout rebuilds driven by serving
+	// Repartitions counts heavy-partition layout rebuilds driven by
 	// executions (Config.DisableAutoPartition turns the maintenance off).
 	Repartitions uint64
 	Size         int // live entries
@@ -971,7 +867,7 @@ func (e *Engine) CacheStats() CacheStats {
 		BackgroundReplans: e.bgReplans,
 		Repartitions:      e.repartitions,
 		Size:              len(e.cache),
-		Capacity:          e.capacityPeekLocked(),
+		Capacity:          e.capacity,
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -18,14 +20,54 @@ func db2(s1, s2 *data.Relation) *data.Database {
 	return db
 }
 
+// newEngine builds an engine from cfg, failing t on a configuration error.
+func newEngine(t testing.TB, cfg Config) *Engine {
+	t.Helper()
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// mustExec runs one ExecuteContext, failing t on error.
+func mustExec(t testing.TB, e *Engine, q *query.Query, db *data.Database, opts ExecOptions) Result {
+	t.Helper()
+	res, err := e.ExecuteContext(context.Background(), q, db, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mustPlan runs PlanQuery, failing t on error.
+func mustPlan(t testing.TB, e *Engine, q *query.Query, db *data.Database) Plan {
+	t.Helper()
+	plan, err := e.PlanQuery(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// mustExplain runs Explain, failing t on error.
+func mustExplain(t testing.TB, e *Engine, q *query.Query, db *data.Database) string {
+	t.Helper()
+	out, err := e.Explain(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestPlanSkewFreePicksHyperCube(t *testing.T) {
 	q := query.Join2()
 	db := db2(
 		workload.Matching("S1", 2, 1000, 100000, 1),
 		workload.Matching("S2", 2, 1000, 100000, 2),
 	)
-	e := NewEngine(16, 1)
-	plan := e.PlanQuery(q, db)
+	e := newEngine(t, Config{P: 16, Seed: 1})
+	plan := mustPlan(t, e, q, db)
 	if plan.Strategy != HyperCube {
 		t.Errorf("strategy = %v, want hypercube", plan.Strategy)
 	}
@@ -43,8 +85,8 @@ func TestPlanSkewedJoinPicksSkewJoin(t *testing.T) {
 		workload.SingleValue("S1", 2, 500, 100000, 1, 7, 1),
 		workload.SingleValue("S2", 2, 500, 100000, 1, 7, 2),
 	)
-	e := NewEngine(16, 1)
-	plan := e.PlanQuery(q, db)
+	e := newEngine(t, Config{P: 16, Seed: 1})
+	plan := mustPlan(t, e, q, db)
 	if plan.Strategy != SkewJoin {
 		t.Errorf("strategy = %v, want skew-join", plan.Strategy)
 	}
@@ -59,8 +101,8 @@ func TestPlanSkewedTrianglePicksBinCombination(t *testing.T) {
 	db.Put(workload.PlantedHeavy("S1", 400, 100000, 0, []workload.HeavySpec{{Value: 0, Count: 150}}, 1))
 	db.Put(workload.Uniform("S2", 2, 400, 100, 2))
 	db.Put(workload.Uniform("S3", 2, 400, 100, 3))
-	e := NewEngine(16, 1)
-	plan := e.PlanQuery(q, db)
+	e := newEngine(t, Config{P: 16, Seed: 1})
+	plan := mustPlan(t, e, q, db)
 	if plan.Strategy != BinCombination {
 		t.Errorf("strategy = %v, want bin-combination", plan.Strategy)
 	}
@@ -91,8 +133,8 @@ func TestExecuteMatchesReferenceAcrossStrategies(t *testing.T) {
 		}()},
 	}
 	for _, c := range cases {
-		e := NewEngine(16, 9)
-		res := e.Execute(c.q, c.db)
+		e := newEngine(t, Config{P: 16, Seed: 9})
+		res := mustExec(t, e, c.q, c.db, ExecOptions{})
 		want := join.Join(c.q, join.FromDatabase(c.db))
 		if !join.EqualTupleSets(res.Output, want) {
 			t.Errorf("%s (%v): output %d tuples, want %d",
@@ -112,12 +154,12 @@ func TestExecuteSkewJoinRemapsRenamedRelations(t *testing.T) {
 	s := workload.SingleValue("T", 2, 300, 100000, 1, 7, 2)
 	db.Put(r)
 	db.Put(s)
-	e := NewEngine(8, 1)
-	plan := e.PlanQuery(q, db)
+	e := newEngine(t, Config{P: 8, Seed: 1})
+	plan := mustPlan(t, e, q, db)
 	if plan.Strategy != SkewJoin {
 		t.Fatalf("strategy = %v", plan.Strategy)
 	}
-	res := e.Execute(q, db)
+	res := mustExec(t, e, q, db, ExecOptions{})
 	want := join.Join(q, join.FromDatabase(db))
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Errorf("remapped skew join wrong: %d vs %d tuples", len(res.Output), len(want))
@@ -137,12 +179,12 @@ func TestExecuteSkewJoinIgnoresUnrelatedRelations(t *testing.T) {
 	extra.Add(7)
 	extra.Add(8)
 	db.Put(extra)
-	e := NewEngine(16, 9)
-	plan := e.PlanQuery(q, db)
+	e := newEngine(t, Config{P: 16, Seed: 9})
+	plan := mustPlan(t, e, q, db)
 	if plan.Strategy != SkewJoin {
 		t.Fatalf("strategy = %v, want skew-join", plan.Strategy)
 	}
-	res := e.Execute(q, db)
+	res := mustExec(t, e, q, db, ExecOptions{})
 	want := join.Join(q, join.FromDatabase(db))
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Errorf("output %d tuples, want %d", len(res.Output), len(want))
@@ -162,12 +204,12 @@ func TestExecuteHyperCubeIgnoresUnrelatedRelations(t *testing.T) {
 	extra.Add(7)
 	extra.Add(8)
 	db.Put(extra)
-	e := NewEngine(16, 9)
-	plan := e.PlanQuery(q, db)
+	e := newEngine(t, Config{P: 16, Seed: 9})
+	plan := mustPlan(t, e, q, db)
 	if plan.Strategy != HyperCube {
 		t.Fatalf("strategy = %v, want hypercube", plan.Strategy)
 	}
-	res := e.Execute(q, db)
+	res := mustExec(t, e, q, db, ExecOptions{})
 	want := join.Join(q, join.FromDatabase(db))
 	if !join.EqualTupleSets(res.Output, want) {
 		t.Errorf("output %d tuples, want %d", len(res.Output), len(want))
@@ -181,9 +223,8 @@ func TestForceStrategy(t *testing.T) {
 		workload.Matching("S2", 2, 300, 100000, 2),
 	)
 	force := BinCombination
-	e := NewEngine(8, 1)
-	e.ForceStrategy = &force
-	res := e.Execute(q, db)
+	e := newEngine(t, Config{P: 8, Seed: 1})
+	res := mustExec(t, e, q, db, ExecOptions{Strategy: &force})
 	if res.Plan.Strategy != BinCombination {
 		t.Errorf("forced strategy ignored: %v", res.Plan.Strategy)
 	}
@@ -200,22 +241,35 @@ func TestStrategyString(t *testing.T) {
 	}
 }
 
-func TestNewEnginePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewEngine(1, 0)
+func TestNewRejectsSmallP(t *testing.T) {
+	if _, err := New(Config{P: 1}); err == nil {
+		t.Error("New accepted p = 1")
+	}
 }
 
-func TestPlanMissingRelationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+// TestEntryPointsRejectInvalidInput: every entry point reports a missing
+// relation and a malformed query as errors, never as planner panics.
+func TestEntryPointsRejectInvalidInput(t *testing.T) {
+	e := newEngine(t, Config{P: 4})
+	db := data.NewDatabase()
+	db.Put(workload.Matching("S1", 2, 50, 1000, 1))
+	bad := &query.Query{Name: "bad"}
+	entries := map[string]func(*query.Query) error{
+		"PlanQuery": func(q *query.Query) error { _, err := e.PlanQuery(q, db); return err },
+		"Explain":   func(q *query.Query) error { _, err := e.Explain(q, db); return err },
+		"ExecuteContext": func(q *query.Query) error {
+			_, err := e.ExecuteContext(context.Background(), q, db, ExecOptions{})
+			return err
+		},
+	}
+	for name, run := range entries {
+		if err := run(query.Join2()); err == nil || errors.Is(err, ErrInvalidQuery) {
+			t.Errorf("%s with missing relation S2: %v, want a non-query error", name, err)
 		}
-	}()
-	NewEngine(4, 0).PlanQuery(query.Join2(), data.NewDatabase())
+		if err := run(bad); !errors.Is(err, ErrInvalidQuery) {
+			t.Errorf("%s of a query with no atoms: %v, want ErrInvalidQuery", name, err)
+		}
+	}
 }
 
 func TestIsJoin2Shaped(t *testing.T) {
@@ -238,7 +292,7 @@ func TestExplainContainsAnalysis(t *testing.T) {
 	db.Put(workload.Matching("S1", 2, 500, 100000, 1))
 	db.Put(workload.Matching("S2", 2, 500, 100000, 2))
 	db.Put(workload.Matching("S3", 2, 500, 100000, 3))
-	out := NewEngine(16, 1).Explain(q, db)
+	out := mustExplain(t, newEngine(t, Config{P: 16, Seed: 1}), q, db)
 	for _, want := range []string{
 		"strategy: hypercube", "τ*", "packing vertices", "share exponents",
 		"integer shares", "lower bound",
@@ -254,7 +308,7 @@ func TestExplainShowsBinCombosUnderSkew(t *testing.T) {
 	db := data.NewDatabase()
 	db.Put(workload.PlantedHeavy("S1", 300, 100000, 0, []workload.HeavySpec{{Value: 5, Count: 100}}, 1))
 	db.Put(workload.PlantedHeavy("S2", 300, 100000, 0, []workload.HeavySpec{{Value: 5, Count: 90}}, 2))
-	out := NewEngine(16, 1).Explain(q, db)
+	out := mustExplain(t, newEngine(t, Config{P: 16, Seed: 1}), q, db)
 	if !strings.Contains(out, "bin combinations") {
 		t.Errorf("Explain should list bin combinations under skew:\n%s", out)
 	}
@@ -267,9 +321,8 @@ func TestForceMultiRound(t *testing.T) {
 	db.Put(workload.Matching("S2", 2, 300, 100000, 2))
 	db.Put(workload.Matching("S3", 2, 300, 100000, 3))
 	force := MultiRound
-	e := NewEngine(8, 1)
-	e.ForceStrategy = &force
-	res := e.Execute(q, db)
+	e := newEngine(t, Config{P: 8, Seed: 1})
+	res := mustExec(t, e, q, db, ExecOptions{Strategy: &force})
 	if res.Plan.Strategy != MultiRound {
 		t.Fatalf("forced strategy ignored: %v", res.Plan.Strategy)
 	}
@@ -297,11 +350,10 @@ func TestConsiderMultiRoundCostComparison(t *testing.T) {
 	for j, a := range q.Atoms {
 		db.Put(workload.Matching(a.Name, 2, 4096, 1<<20, int64(j+1)))
 	}
-	e := NewEngine(64, 3)
-	e.ConsiderMultiRound = true
-	plan := e.PlanQuery(q, db)
+	e := newEngine(t, Config{P: 64, Seed: 3, ConsiderMultiRound: true})
+	plan := mustPlan(t, e, q, db)
 
-	base := NewEngine(64, 3).PlanQuery(q, db)
+	base := mustPlan(t, newEngine(t, Config{P: 64, Seed: 3}), q, db)
 	mrPred := rounds.PlanPipeline(q, db, rounds.Config{P: 64, Seed: 3, SkewAware: true}).PredictedSumMaxBits
 	wantMR := base.PredictedBits > 0 && mrPred < base.PredictedBits
 	if gotMR := plan.Strategy == MultiRound; gotMR != wantMR {
@@ -315,7 +367,7 @@ func TestConsiderMultiRoundCostComparison(t *testing.T) {
 		t.Errorf("reason does not record the rejection: %q", plan.Reason)
 	}
 	// Execution under the comparison stays correct.
-	res := e.Execute(q, db)
+	res := mustExec(t, e, q, db, ExecOptions{})
 	want := join.Join(q, join.FromDatabase(db))
 	if !join.EqualTupleSets(join.Dedup(res.Output), want) {
 		t.Errorf("cost-comparing engine output %d tuples, want %d", len(res.Output), len(want))
@@ -329,10 +381,9 @@ func TestMultiRoundPlanCached(t *testing.T) {
 	db.Put(workload.Matching("S2", 2, 400, 100000, 2))
 	db.Put(workload.Matching("S3", 2, 400, 100000, 3))
 	force := MultiRound
-	e := NewEngine(8, 1)
-	e.ForceStrategy = &force
-	r1 := e.Execute(q, db)
-	r2 := e.Execute(q, db)
+	e := newEngine(t, Config{P: 8, Seed: 1})
+	r1 := mustExec(t, e, q, db, ExecOptions{Strategy: &force})
+	r2 := mustExec(t, e, q, db, ExecOptions{Strategy: &force})
 	st := e.CacheStats()
 	if st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("cache stats = %+v, want 1 miss + 1 hit", st)
@@ -341,11 +392,10 @@ func TestMultiRoundPlanCached(t *testing.T) {
 		t.Error("cached multi-round plan changed its answers")
 	}
 	// A ConsiderMultiRound toggle is part of the cache key.
-	e2 := NewEngine(8, 1)
-	e2.ConsiderMultiRound = true
-	e2.Execute(q, db)
-	e2.ConsiderMultiRound = false
-	e2.Execute(q, db)
+	e2 := newEngine(t, Config{P: 8, Seed: 1, ConsiderMultiRound: true})
+	off := false
+	mustExec(t, e2, q, db, ExecOptions{})
+	mustExec(t, e2, q, db, ExecOptions{MultiRound: &off})
 	if st2 := e2.CacheStats(); st2.Misses != 2 {
 		t.Errorf("toggling ConsiderMultiRound reused a stale plan: %+v", st2)
 	}
@@ -357,7 +407,7 @@ func TestExplainListsPredictedCosts(t *testing.T) {
 	db.Put(workload.Matching("S1", 2, 500, 100000, 1))
 	db.Put(workload.Matching("S2", 2, 500, 100000, 2))
 	db.Put(workload.Matching("S3", 2, 500, 100000, 3))
-	out := NewEngine(16, 1).Explain(q, db)
+	out := mustExplain(t, newEngine(t, Config{P: 16, Seed: 1}), q, db)
 	for _, want := range []string{
 		"predicted cost per strategy", "hypercube", "skew-join", "bin-combination",
 		"multi-round", "SumMaxBits", "← chosen", "not §4.1-shaped",

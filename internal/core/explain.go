@@ -17,16 +17,23 @@ import (
 // evaluate q over db: the chosen strategy and why, the packing polytope
 // vertices with their induced bounds (Example 3.7's table for the given
 // statistics), the optimal share exponents, and — when skew is present —
-// the bin combinations the §4.2 algorithm would build.
-func (e *Engine) Explain(q *query.Query, db *data.Database) string {
+// the bin combinations the §4.2 algorithm would build. Like ExecuteContext
+// it reads a snapshot epoch of db and returns an error for invalid input.
+func (e *Engine) Explain(q *query.Query, db *data.Database) (string, error) {
+	s := e.settings(ExecOptions{})
+	db = snapshot(db)
+	if err := validate(q, db, s.p); err != nil {
+		return "", err
+	}
+	p, seed := s.p, s.seed
 	// Plan once: the cost table reuses the chosen strategy's lowered plan
 	// (and the multi-round pipeline, if the comparison built one) instead
 	// of re-planning it.
-	cp := e.buildPlan(q, db, e.settings(ExecOptions{}))
+	cp := e.buildPlan(q, db, s)
 	plan := cp.plan
 	var b strings.Builder
 	fmt.Fprintf(&b, "query:    %s\n", q)
-	fmt.Fprintf(&b, "servers:  p = %d\n", e.P)
+	fmt.Fprintf(&b, "servers:  p = %d\n", p)
 	fmt.Fprintf(&b, "strategy: %s\n", plan.Strategy)
 	fmt.Fprintf(&b, "reason:   %s\n", plan.Reason)
 	fmt.Fprintf(&b, "skew:     heavy hitters present = %v\n\n", plan.HasSkew)
@@ -50,14 +57,14 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 		if cp.hc != nil {
 			return cp.hc.PredictedBits
 		}
-		return hypercube.BuildPlan(q, db, hypercube.Config{P: e.P, Seed: e.Seed}).PredictedBits
+		return hypercube.BuildPlan(q, db, hypercube.Config{P: p, Seed: seed}).PredictedBits
 	}
 	writeCost(HyperCube, hcBits(), "(p^λ)")
 	switch {
 	case cp.sj != nil:
 		writeCost(SkewJoin, cp.sj.PredictedBits, "(Eq. 10)")
 	case isJoin2Shaped(q):
-		writeCost(SkewJoin, skew.PlanJoin(q, db, skew.JoinConfig{P: e.P, Seed: e.Seed}).PredictedBits, "(Eq. 10)")
+		writeCost(SkewJoin, skew.PlanJoin(q, db, skew.JoinConfig{P: p, Seed: seed}).PredictedBits, "(Eq. 10)")
 	default:
 		writeCost(SkewJoin, 0, "(query not §4.1-shaped)")
 	}
@@ -65,7 +72,7 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 		if cp.gen != nil {
 			return cp.gen.PredictedBits
 		}
-		return skew.PlanGeneral(q, db, skew.GeneralConfig{P: e.P, Seed: e.Seed}).PredictedBits
+		return skew.PlanGeneral(q, db, skew.GeneralConfig{P: p, Seed: seed}).PredictedBits
 	}
 	writeCost(BinCombination, genBits(), "(max_B p^λ(B))")
 	switch {
@@ -73,7 +80,7 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 		writeCost(MultiRound, cp.mr.PredictedSumMaxBits,
 			fmt.Sprintf("(SumMaxBits, %d rounds)", len(cp.mr.Logical.Steps)))
 	case q.NumAtoms() >= 2:
-		mr := planMultiRound(q, db, e.settings(ExecOptions{}))
+		mr := planMultiRound(q, db, s)
 		writeCost(MultiRound, mr.PredictedSumMaxBits,
 			fmt.Sprintf("(SumMaxBits, %d rounds)", len(mr.Logical.Steps)))
 	default:
@@ -94,7 +101,7 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 	}
 	fmt.Fprintf(&b, "\nτ* = %.3f  (max fractional edge packing value)\n", packing.Tau(q))
 
-	best, table := bounds.SimpleLower(q, bitsM, e.P)
+	best, table := bounds.SimpleLower(q, bitsM, p)
 	fmt.Fprintf(&b, "\npacking vertices pk(q) and induced bounds (Theorem 3.6):\n")
 	for _, row := range table {
 		us := make([]string, len(row.U))
@@ -107,16 +114,16 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 	fmt.Fprintf(&b, "full lower bound (Thm 1.2, with residual packings): %.0f bits\n",
 		plan.LowerBoundBits)
 
-	exps, lambda := hypercube.OptimalExponents(q, bitsM, e.P)
-	shares := hypercube.RoundShares(exps, e.P, hypercube.RoundGreedy)
+	exps, lambda := hypercube.OptimalExponents(q, bitsM, p)
+	shares := hypercube.RoundShares(exps, p, hypercube.RoundGreedy)
 	fmt.Fprintf(&b, "\nshare exponents (LP 5): %s, λ = %.4f → predicted p^λ bits\n",
 		fmtExps(q, exps), lambda)
 	fmt.Fprintf(&b, "integer shares: %v (%d of %d servers used)\n",
-		shares, productInts(shares), e.P)
+		shares, productInts(shares), p)
 
 	if plan.HasSkew && plan.Strategy == BinCombination {
 		fmt.Fprintf(&b, "\nbin combinations (§4.2):\n")
-		for _, info := range skew.InspectBinCombos(q, db, e.P) {
+		for _, info := range skew.InspectBinCombos(q, db, p) {
 			vars := make([]string, len(info.Vars))
 			for i, v := range info.Vars {
 				vars[i] = q.Vars[v]
@@ -125,7 +132,7 @@ func (e *Engine) Explain(q *query.Query, db *data.Database) string {
 				strings.Join(vars, ","), info.Bins, info.CSize, info.Lambda)
 		}
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 func fmtExps(q *query.Query, e []float64) string {

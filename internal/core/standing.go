@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -109,12 +108,11 @@ type pendingDelta struct {
 }
 
 // Standing opens a standing query for q over db: it plans (or reuses the
-// cached serving-mode plan), executes the communication and local phases
-// once to seed resident per-server state, and subscribes to db's delta
-// stream. opts are resolved exactly as in ExecuteContext, except that
-// Serving is forced on (standing state only makes sense across content
-// deltas) and NoCache is ignored — the handle's identity with the plan
-// cache is what lets drift-triggered replans flag it for reseeding.
+// cached plan), executes the communication and local phases once to seed
+// resident per-server state, and subscribes to db's delta stream. opts are
+// resolved exactly as in ExecuteContext, except that NoCache is ignored —
+// the handle's identity with the plan cache is what lets drift-triggered
+// replans flag it for reseeding.
 //
 // The caller must not be holding db's lock. Close the handle when done or
 // its capture queue grows with every Apply.
@@ -122,19 +120,10 @@ func (e *Engine) Standing(ctx context.Context, q *query.Query, db *data.Database
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts.Serving = true
 	opts.NoCache = false
 	s := e.settings(opts)
-	if s.p < 2 {
-		return nil, fmt.Errorf("core: need p >= 2, got %d", s.p)
-	}
-	if err := q.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidQuery, err)
-	}
-	for _, a := range q.Atoms {
-		if db.Get(a.Name) == nil {
-			return nil, fmt.Errorf("core: database missing relation %s", a.Name)
-		}
+	if err := validate(q, db, s.p); err != nil {
+		return nil, err
 	}
 	h := &StandingQuery{e: e, q: q, db: db, s: s, opts: opts}
 	// Subscribe before seeding: anything applied between subscription and

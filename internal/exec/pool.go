@@ -10,7 +10,7 @@ import (
 
 // ClusterPool recycles mpc.Clusters across executions. Building a cluster
 // costs Θ(Virtual) server and map allocations; an engine serving repeated
-// traffic off its plan cache pays that on every Execute unless clusters
+// traffic off its plan cache pays that on every execution unless clusters
 // are reused. The pool buckets clusters by virtual-server count rounded up
 // to a power of two, so a Get for any size in a bucket can reuse any
 // cluster parked there (mpc.Cluster.Resize re-targets it and resets its

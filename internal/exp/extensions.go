@@ -126,9 +126,15 @@ func E12RoundsTradeoff(s Scale) Table {
 		}
 		// The engine's cost model (ConsiderMultiRound) must agree with the
 		// measured winner: predicted SumMaxBits vs one-round PredictedBits.
-		eng := core.NewEngine(p, 5)
-		eng.ConsiderMultiRound = true
-		pick := eng.PlanQuery(q, db).Strategy
+		eng, err := core.New(core.Config{P: p, Seed: 5, ConsiderMultiRound: true})
+		if err != nil {
+			panic(err)
+		}
+		plan, err := eng.PlanQuery(q, db)
+		if err != nil {
+			panic(err)
+		}
+		pick := plan.Strategy
 		pickAgrees := (pick == core.MultiRound) == (winner == "multi-round")
 		if !pickAgrees {
 			ok = false

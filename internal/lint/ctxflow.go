@@ -19,8 +19,8 @@ In repro/internal/core and repro/internal/exec (non-test code):
 
   1. context.Background()/context.TODO() are forbidden — except in the
      nil-default idiom "if ctx == nil { ctx = context.Background() }",
-     which keeps pre-Session compatibility while guaranteeing a non-nil
-     ctx downstream. Anything else needs //skewlint:allow ctxflow.
+     which tolerates a nil context from callers while guaranteeing a
+     non-nil ctx downstream. Anything else needs //skewlint:allow ctxflow.
   2. A function taking a context.Context must take it as the first
      parameter (after the receiver).
   3. An exported function that blocks (contains a select statement or a

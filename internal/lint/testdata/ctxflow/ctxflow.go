@@ -9,7 +9,7 @@ func Fabricate() context.Context {
 	return context.Background() // want `context.Background fabricates a context`
 }
 
-// NilDefault mirrors ExecuteContext's pre-Session compatibility idiom.
+// NilDefault mirrors ExecuteContext's nil-context default idiom.
 func NilDefault(ctx context.Context) context.Context {
 	if ctx == nil {
 		ctx = context.Background()

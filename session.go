@@ -85,11 +85,12 @@ type Config struct {
 	DisableAutoPartition bool
 }
 
-// Session is the serving-grade entry point: an Engine behind an immutable
-// configuration, per-call functional options, context cancellation, and a
-// plan cache that databases may mutate under (Database.Apply) with
-// adaptive re-planning when realized loads drift from the statistics plans
-// were frozen at. Sessions are safe for concurrent use.
+// Session is the engine's public entry point: an engine behind an
+// immutable configuration, per-call functional options, context
+// cancellation, and a plan cache that databases may mutate under
+// (Database.Apply) with adaptive re-planning when realized loads drift
+// from the statistics plans were frozen at. Sessions are safe for
+// concurrent use.
 //
 // Execs read immutable snapshot epochs (Database.Snapshot) rather than
 // holding the database's read lock, so queries never block Apply and Apply
@@ -98,8 +99,8 @@ type Config struct {
 // instead of letting latency collapse. See the package documentation's
 // "Serving under overload" discussion.
 //
-// Unlike the pre-Session Engine API, a Session never panics on invalid
-// input: Open and Exec return errors.
+// A Session never panics on invalid input: Open, Exec, Standing and
+// Explain return errors.
 type Session struct {
 	eng  *core.Engine
 	gate *core.Gate
@@ -225,7 +226,7 @@ func WithP(p int) ExecOption {
 // cannot block Database.Apply and a large Apply cannot stall queries; each
 // Exec observes the epoch current at admission time.
 func (s *Session) Exec(ctx context.Context, q *Query, db *Database, opts ...ExecOption) (Result, error) {
-	o := core.ExecOptions{Serving: true}
+	var o core.ExecOptions
 	for _, opt := range opts {
 		if opt.apply != nil {
 			opt.apply(&o)
@@ -235,7 +236,7 @@ func (s *Session) Exec(ctx context.Context, q *Query, db *Database, opts ...Exec
 		return Result{}, err
 	}
 	defer s.gate.Leave()
-	return s.eng.ExecuteContext(ctx, q, db.Snapshot(), o)
+	return s.eng.ExecuteContext(ctx, q, db, o)
 }
 
 // Standing registers q over db as a standing query: it executes once to
@@ -266,10 +267,10 @@ func (s *Session) Standing(ctx context.Context, q *Query, db *Database, opts ...
 }
 
 // Explain renders the engine's plan analysis for q over db (strategy
-// choice, per-strategy predicted costs, bounds). Like Exec it reads a
-// snapshot epoch, never the database lock.
-func (s *Session) Explain(q *Query, db *Database) string {
-	return s.eng.Explain(q, db.Snapshot())
+// choice, per-strategy predicted costs, bounds), or an error for invalid
+// input. Like Exec it reads a snapshot epoch, never the database lock.
+func (s *Session) Explain(q *Query, db *Database) (string, error) {
+	return s.eng.Explain(q, db)
 }
 
 // CacheStats reports the session's plan-cache counters, including
@@ -291,6 +292,10 @@ func (s *Session) HealthStats() HealthStats { return s.eng.HealthStats() }
 // Typed serving errors, re-exported from the internal packages so callers
 // can branch with errors.Is against the public package alone.
 var (
+	// ErrInvalidQuery reports a structurally malformed query (no atoms,
+	// out-of-range variables, unsupported self-join, …); the structural
+	// detail is wrapped alongside it.
+	ErrInvalidQuery = core.ErrInvalidQuery
 	// ErrOverloaded reports an Exec shed at admission: the session was at
 	// MaxInFlight with a full wait queue.
 	ErrOverloaded = core.ErrOverloaded

@@ -202,6 +202,7 @@ func TestSessionCloseMidFlight(t *testing.T) {
 
 func TestErrorTaxonomy(t *testing.T) {
 	errs := map[string]error{
+		"ErrInvalidQuery":   ErrInvalidQuery,
 		"ErrOverloaded":     ErrOverloaded,
 		"ErrSessionClosed":  ErrSessionClosed,
 		"ErrStandingClosed": ErrStandingClosed,

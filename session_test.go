@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -36,6 +37,18 @@ func equalTupleSets(a, b []Tuple) bool {
 		}
 	}
 	return true
+}
+
+// oracleExec runs q over db on a fresh session that bypasses the plan
+// cache and drives no partition maintenance: the differential oracle the
+// serving tests compare against.
+func oracleExec(p int, seed uint64, q *Query, db *Database, opts ...ExecOption) (Result, error) {
+	s, err := Open(Config{P: p, Seed: seed, DisableAutoPartition: true})
+	if err != nil {
+		return Result{}, err
+	}
+	defer s.Close()
+	return s.Exec(context.Background(), q, db, append(opts, WithoutCache())...)
 }
 
 func TestOpenValidatesConfig(t *testing.T) {
@@ -72,6 +85,37 @@ func TestSessionExecErrorsNotPanics(t *testing.T) {
 	if _, err := s.Exec(context.Background(), Join2Query(), db); err != nil {
 		t.Errorf("valid Exec failed: %v", err)
 	}
+	if _, err := s.Exec(context.Background(), &Query{Name: "bad"}, db); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("Exec of a query with no atoms: %v, want ErrInvalidQuery", err)
+	}
+}
+
+// TestSessionExplainErrorsNotPanics: Explain reports invalid input as an
+// error, as Exec does, instead of panicking inside the planner.
+func TestSessionExplainErrorsNotPanics(t *testing.T) {
+	s, err := Open(Config{P: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	db := NewDatabase()
+	db.Put(MatchingRelation("S1", 2, 100, 1000, 1))
+	if _, err := s.Explain(Join2Query(), db); err == nil {
+		t.Error("Explain succeeded with a missing relation")
+	} else if errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("missing relation reported as an invalid query: %v", err)
+	}
+	if _, err := s.Explain(&Query{Name: "bad"}, db); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("Explain of a query with no atoms: %v, want ErrInvalidQuery", err)
+	}
+	db.Put(MatchingRelation("S2", 2, 100, 1000, 2))
+	out, err := s.Explain(Join2Query(), db)
+	if err != nil {
+		t.Fatalf("valid Explain failed: %v", err)
+	}
+	if !strings.Contains(out, "strategy: hypercube") {
+		t.Errorf("Explain output lacks the chosen strategy:\n%s", out)
+	}
 }
 
 func TestSessionExecMatchesEngineAndOptions(t *testing.T) {
@@ -79,7 +123,10 @@ func TestSessionExecMatchesEngineAndOptions(t *testing.T) {
 	db.Put(ZipfRelation("S1", 500, 1<<16, 1, 1.3, 40, 1))
 	db.Put(MatchingRelation("S2", 2, 500, 1<<16, 2))
 	q := Join2Query()
-	oracle := NewEngine(8, 3).Execute(q, db)
+	oracle, err := oracleExec(8, 3, q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	s, err := Open(Config{P: 8, Seed: 3})
 	if err != nil {
@@ -156,7 +203,10 @@ func TestSessionCacheSurvivesApply(t *testing.T) {
 		t.Fatalf("serving cache stats after delta: %+v, want 1 hit / 1 miss", st)
 	}
 	// The plan ran against the mutated content: answers reflect the delta.
-	oracle := NewEngine(8, 1).Execute(q, db)
+	oracle, err := oracleExec(8, 1, q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !equalTupleSets(res.Output, oracle.Output) {
 		t.Fatalf("post-delta answers (%d) differ from oracle (%d)", len(res.Output), len(oracle.Output))
 	}
@@ -368,7 +418,12 @@ func TestSessionConcurrentServing(t *testing.T) {
 					fail("post-apply exec: %v", err)
 					return
 				}
-				want := NewEngine(p, 5).Execute(q, db)
+				want, err := oracleExec(p, 5, q, db)
+				if err != nil {
+					applyMu.Unlock()
+					fail("oracle exec: %v", err)
+					return
+				}
 				if !equalTupleSets(got.Output, want.Output) {
 					applyMu.Unlock()
 					fail("post-apply answers: session %d vs oracle %d", len(got.Output), len(want.Output))
@@ -403,7 +458,12 @@ func TestSessionConcurrentServing(t *testing.T) {
 					return
 				}
 				got := h.Result()
-				want := NewEngine(p, 5).Execute(q, db)
+				want, err := oracleExec(p, 5, q, db)
+				if err != nil {
+					applyMu.Unlock()
+					fail("oracle exec: %v", err)
+					return
+				}
 				if !equalTupleSets(got, want.Output) {
 					applyMu.Unlock()
 					fail("standing result: %d answers vs oracle %d", len(got), len(want.Output))
